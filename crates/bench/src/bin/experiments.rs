@@ -44,11 +44,10 @@ fn main() {
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let flag = |name: &str| args.iter().any(|a| a == name);
     let opt_u64 = |name: &str, default: u64| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        pf_bench::opt_u64(&args, name, default).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     };
     // Sweep ceiling: the paper uses q in [3, 128]; trim with --max-q for a
     // quick run.
@@ -99,7 +98,6 @@ fn main() {
             let opts = pf_bench::perf_snapshot::SnapshotOptions {
                 scaling: flag("--scaling"),
                 gate: flag("--gate"),
-                max_threads: opt_u64("--threads", 8) as usize,
                 max_q,
             };
             if let Err(e) = pf_bench::perf_snapshot::print_perf_snapshot(

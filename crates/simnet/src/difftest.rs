@@ -360,11 +360,19 @@ fn constructed_plans_match_under_faults() {
 fn batched_steady_state_matches_at_scale() {
     // Large m drives the run into a long saturated steady state, so the
     // batch replay (engine.rs `batch_step`) covers most of the simulated
-    // cycles — and the deterministic sharded mode must merge back to the
-    // same bytes. Three-way check: reference, optimized single-thread
-    // (batched), optimized sharded.
+    // cycles. Low-depth plans share channels between trees; edge-disjoint
+    // plans share none (the shape a large edge-disjoint serve takes).
+    let mut plans = Vec::new();
     for q in [5u64, 7, 11] {
-        let plan = AllreducePlan::low_depth(q).unwrap();
+        plans.push((format!("low-depth q={q}"), AllreducePlan::low_depth(q).unwrap()));
+    }
+    for q in [5u64, 7] {
+        plans.push((
+            format!("edge-disjoint q={q}"),
+            AllreducePlan::edge_disjoint(q, 40, 0xD1FF).unwrap(),
+        ));
+    }
+    for (label, plan) in plans {
         let m = 20_000;
         let sizes = plan.split(m);
         let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
@@ -372,25 +380,19 @@ fn batched_steady_state_matches_at_scale() {
         let kind = Collective::Allreduce;
         let (ref_report, _, _) =
             Simulator::new(&plan.graph, &emb, SimConfig::default()).run_reference(&w, kind);
-        assert!(ref_report.completed && ref_report.mismatches == 0);
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = SimConfig { threads, ..SimConfig::default() };
-            let (report, _, _) =
-                Simulator::new(&plan.graph, &emb, cfg).run_optimized(&w, kind);
-            assert_eq!(
-                report, ref_report,
-                "batched saturated q={q} threads={threads}: SimReport diverged"
-            );
-        }
+        assert!(ref_report.completed && ref_report.mismatches == 0, "{label}");
+        let (report, _, _) =
+            Simulator::new(&plan.graph, &emb, SimConfig::default()).run_optimized(&w, kind);
+        assert_eq!(report, ref_report, "batched saturated {label}: SimReport diverged");
     }
 }
 
 #[test]
-fn batched_contention_jobs_match_across_threads() {
+fn batched_contention_jobs_match_reference() {
     // Two tenants on disjoint tree halves (the perf-snapshot contention
-    // regime): the job accounting path must be byte-deterministic across
-    // thread counts, and the engine decisions must coincide with the
-    // reference running the identical embedding as one plain collective.
+    // regime): the job-accounting path must make the same engine
+    // decisions as the reference running the identical embedding as one
+    // plain collective.
     use crate::engine::JobBinding;
     use crate::workload::{JobSegment, ReduceKind};
 
@@ -434,18 +436,6 @@ fn batched_contention_jobs_match_across_threads() {
         let base = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .run_jobs(&w, &bindings);
         assert!(base.report.completed && base.report.mismatches == 0);
-        for threads in [2usize, 4, 8] {
-            let cfg = SimConfig { threads, ..SimConfig::default() };
-            let run = Simulator::new(&plan.graph, &emb, cfg).run_jobs(&w, &bindings);
-            assert_eq!(
-                run.report, base.report,
-                "contention q={q} threads={threads}: SimReport diverged"
-            );
-            assert_eq!(
-                run.jobs, base.jobs,
-                "contention q={q} threads={threads}: job outcomes diverged"
-            );
-        }
         let (ref_report, _, _) = Simulator::new(&plan.graph, &emb, SimConfig::default())
             .run_reference(&w, Collective::Allreduce);
         assert_eq!(

@@ -37,29 +37,21 @@
 //!   to the earliest in-flight arrival or fault-schedule transition instead
 //!   of ticking idly (latency tails, drain phases, fault-frozen fabrics).
 //!
-//! Two further layers sit on top of the active sets (both introduced for
-//! the saturated/contention regimes, where every cycle makes progress and
-//! idle-skip never fires — see `docs/PERFORMANCE.md` for the derivations):
-//!
-//! * **Batch spans** — when the run is in steady state, consecutive cycles
-//!   repeat the same fire/drain/arrival pattern exactly. The engine arms a
-//!   full *shape* snapshot (queue lengths, active sets, round-robin
-//!   cursors, relative in-flight arrival offsets), detects the period `P`
-//!   at which the shape recurs, bounds the largest whole number of periods
-//!   `j` containing no event boundary (no slice end, fault transition, job
-//!   release or cycle cap), and replays all `j·P` cycles in closed form:
-//!   ring heads advance by `j·rate`, arrival stamps are re-based, counters
-//!   get bulk adds, and delivered values (digests, validation, surviving
-//!   queue contents) are recomputed per element with the reduction combine
-//!   vectorized over contiguous element runs. This extends idle-skip from
-//!   "skip when nothing happens" to "skip when the same thing happens
-//!   every cycle".
-//! * **Deterministic sharding** ([`SimConfig::threads`]) — trees that share
-//!   no directed channel have fully independent state, so connected
-//!   components of the tree/channel sharing graph are simulated on worker
-//!   threads and their reports merged in a fixed order; every digest is an
-//!   order-independent wrapping sum, so the merge is byte-identical to the
-//!   single-threaded run.
+//! **Batch spans** sit on top of the active sets (introduced for the
+//! saturated/contention regimes, where every cycle makes progress and
+//! idle-skip never fires — see `docs/PERFORMANCE.md` for the derivation).
+//! When the run is in steady state, consecutive cycles repeat the same
+//! fire/drain/arrival pattern exactly. The engine arms a full *shape*
+//! snapshot (queue lengths, active sets, round-robin cursors, relative
+//! in-flight arrival offsets), detects the period `P` at which the shape
+//! recurs, bounds the largest whole number of periods `j` containing no
+//! event boundary (no slice end, fault transition, job release or cycle
+//! cap), and replays all `j·P` cycles in closed form: ring heads advance
+//! by `j·rate`, arrival stamps are re-based, counters get bulk adds, and
+//! delivered values (digests, validation, surviving queue contents) are
+//! recomputed per element with the reduction combine vectorized over
+//! contiguous element runs. This extends idle-skip from "skip when nothing
+//! happens" to "skip when the same thing happens every cycle".
 //!
 //! All queue state lives in flat, pre-sized ring-buffer arenas — the steady
 //! state allocates nothing. The pre-optimization stepper is retained as
@@ -103,15 +95,6 @@ pub struct SimConfig {
     /// links at once; multi-tree allreduce needs ~aggregate-bandwidth
     /// injection per node, which this knob makes explicit).
     pub max_injections_per_node: Option<u32>,
-    /// Worker threads for the deterministic sharded mode (`<= 1` =
-    /// single-threaded). When the embedded trees split into two or more
-    /// channel-disjoint components and nothing couples them (no tracer, no
-    /// fault layer, no per-node caps), the components are simulated
-    /// concurrently and merged deterministically: reports, digests and
-    /// per-job outcomes are byte-identical to the single-threaded run
-    /// (difftested and property-tested). When sharding does not apply, the
-    /// run silently falls back to one thread.
-    pub threads: usize,
 }
 
 impl Default for SimConfig {
@@ -123,7 +106,6 @@ impl Default for SimConfig {
             max_cycles: 50_000_000,
             max_reductions_per_router: None,
             max_injections_per_node: None,
-            threads: 1,
         }
     }
 }
@@ -488,6 +470,7 @@ impl<'a> Simulator<'a> {
         (report, trace, faults)
     }
 
+    /// The simulation loop proper: one `RunState`, stepped to completion.
     fn run_inner_jobs(
         self,
         w: &Workload,
@@ -500,371 +483,133 @@ impl<'a> Simulator<'a> {
             "workload must cover every tree slice's global element range"
         );
 
-        let Simulator { emb, cfg, tracer, faults } = self;
-        // Deterministic sharded mode: channel-disjoint tree components have
-        // fully independent state, so they can be simulated concurrently
-        // and merged. Anything that couples components — a tracer (global
-        // timeline), a fault layer (global detector clock), or per-node
-        // caps (budgets shared across trees) — forces the single run.
-        if cfg.threads > 1
-            && tracer.is_none()
-            && faults.is_none()
+        let Simulator { emb, cfg, mut tracer, mut faults } = self;
+        let mut st = RunState::new(emb, cfg, kind, bindings);
+
+        let traced = tracer.is_some();
+        // `fast` fuses transmit and wire advancement into one pass: the flits
+        // staged at cycle `c` are advanced toward (and into) the arrival state
+        // for `c + 1` immediately, so the next iteration starts with zero
+        // wire-scan work. A tracer or fault layer needs the classic split
+        // stepping (per-cycle freeze checks and stall attribution).
+        let fast = !traced && faults.is_none();
+        // Batch spans additionally require uncapped budgets (a per-node budget
+        // is consumed *within* a cycle; replaying j·P cycles in closed form
+        // would need per-cycle budget accounting). A quiet attached fault
+        // layer is fine — spans are bounded by its next transition.
+        let batchable = !traced
             && cfg.max_reductions_per_router.is_none()
-            && cfg.max_injections_per_node.is_none()
+            && cfg.max_injections_per_node.is_none();
+        let mut cycle = 0u64;
+        while st.deliveries < st.total_deliveries
+            && cycle < cfg.max_cycles
+            && !faults.as_ref().is_some_and(|f| f.should_abort())
         {
-            if let Some(masks) = shard_masks(emb, cfg.threads) {
-                return run_sharded(emb, cfg, w, kind, bindings, &masks);
+            cycle += 1;
+            if let Some(fs) = faults.as_mut() {
+                fs.begin_cycle(cycle);
             }
-        }
-        let single = run_single(emb, cfg, tracer, faults, w, kind, bindings, None);
-        (single.report, single.trace, single.faults, single.jobs)
-    }
-}
+            st.progress = st.pending_arrivals;
+            st.pending_arrivals = false;
 
-/// Result of one [`run_single`] invocation (one shard of a sharded run, or
-/// the whole fabric).
-struct SingleRun {
-    report: SimReport,
-    trace: Option<TraceReport>,
-    faults: Option<FaultReport>,
-    jobs: Vec<JobOutcome>,
-    /// Pairs that must deliver a first element in this shard's mask — the
-    /// merge needs it to reconstruct `first_element_latency` (a shard that
-    /// owns no live pairs reports 0 without meaning "incomplete").
-    live_pairs: u64,
-}
-
-/// The simulation loop proper: one `RunState`, stepped to completion.
-/// `tree_mask` (sharded mode) deactivates the trees a shard does not own —
-/// masked trees behave exactly like `len == 0` trees, contributing nothing
-/// to any counter.
-#[allow(clippy::too_many_arguments)]
-fn run_single(
-    emb: &MultiTreeEmbedding,
-    cfg: SimConfig,
-    mut tracer: Option<Tracer>,
-    mut faults: Option<FaultState>,
-    w: &Workload,
-    kind: Collective,
-    bindings: Option<&[JobBinding]>,
-    tree_mask: Option<&[bool]>,
-) -> SingleRun {
-    let mut st = RunState::new(emb, cfg, kind, bindings, tree_mask);
-
-    let traced = tracer.is_some();
-    // `fast` fuses transmit and wire advancement into one pass: the flits
-    // staged at cycle `c` are advanced toward (and into) the arrival state
-    // for `c + 1` immediately, so the next iteration starts with zero
-    // wire-scan work. A tracer or fault layer needs the classic split
-    // stepping (per-cycle freeze checks and stall attribution).
-    let fast = !traced && faults.is_none();
-    // Batch spans additionally require uncapped budgets (a per-node budget
-    // is consumed *within* a cycle; replaying j·P cycles in closed form
-    // would need per-cycle budget accounting). A quiet attached fault
-    // layer is fine — spans are bounded by its next transition.
-    let batchable = !traced
-        && cfg.max_reductions_per_router.is_none()
-        && cfg.max_injections_per_node.is_none();
-    let mut cycle = 0u64;
-    while st.deliveries < st.total_deliveries
-        && cycle < cfg.max_cycles
-        && !faults.as_ref().is_some_and(|f| f.should_abort())
-    {
-        cycle += 1;
-        if let Some(fs) = faults.as_mut() {
-            fs.begin_cycle(cycle);
-        }
-        st.progress = st.pending_arrivals;
-        st.pending_arrivals = false;
-
-        if !fast {
-            st.step_arrivals(cycle, &faults);
-        } else if cycle > st.arrivals_done {
-            // Catch-up after a skip (or on the first cycle): arrivals due
-            // by `cycle` that the fused pass could not know about yet.
-            st.step_arrivals_fast(cycle, false);
-        }
-        st.step_compute(cycle, w, &mut tracer, &faults);
-        st.step_transmit(cycle, traced, &mut tracer, &mut faults);
-        if fast {
-            // Fused wire advancement: complete next cycle's arrivals in
-            // the same pass over the active words (a flit stamped
-            // `cycle + 1`, i.e. link latency 1, arrives here instead of
-            // via a second full scan at the top of the next iteration).
-            st.step_arrivals_fast(cycle + 1, true);
-            st.arrivals_done = cycle + 1;
-        }
-
-        if let Some(tr) = tracer.as_mut() {
-            if tr.timeline_due(cycle) {
-                tr.sample_timeline(cycle, st.deliveries);
+            if !fast {
+                st.step_arrivals(cycle, &faults);
+            } else if cycle > st.arrivals_done {
+                // Catch-up after a skip (or on the first cycle): arrivals due
+                // by `cycle` that the fused pass could not know about yet.
+                st.step_arrivals_fast(cycle, false);
             }
-        }
-
-        if batchable && st.deliveries < st.total_deliveries {
-            st.batch_step(&mut cycle, w, &mut faults);
-        }
-
-        // Time skip: if this cycle made no progress at all, nothing can
-        // change until the next in-flight arrival (or the next fault
-        // activation / heal). Jump there instead of ticking idly.
-        // Tracing pins per-cycle stepping; an actively faulted fabric
-        // (downed or degraded channels) needs per-cycle stall/degrade
-        // accounting, so skipping pauses until it is quiet again.
-        if !st.progress
-            && !st.pending_arrivals
-            && !traced
-            && st.deliveries < st.total_deliveries
-        {
-            let fault_ok = faults.as_ref().is_none_or(|f| f.skip_safe());
-            if fault_ok {
-                let mut target = cfg.max_cycles;
-                if let Some(next) = st.next_arrival() {
-                    target = target.min(next - 1);
-                }
-                if let Some(next) = faults.as_ref().and_then(|f| f.next_transition()) {
-                    target = target.min(next - 1);
-                }
-                if let Some(next) = st.next_release(cycle) {
-                    target = target.min(next - 1);
-                }
-                cycle = cycle.max(target.min(cfg.max_cycles));
+            st.step_compute(cycle, w, &mut tracer, &faults);
+            st.step_transmit(cycle, traced, &mut tracer, &mut faults);
+            if fast {
+                // Fused wire advancement: complete next cycle's arrivals in
+                // the same pass over the active words (a flit stamped
+                // `cycle + 1`, i.e. link latency 1, arrives here instead of
+                // via a second full scan at the top of the next iteration).
+                st.step_arrivals_fast(cycle + 1, true);
+                st.arrivals_done = cycle + 1;
             }
-        }
-    }
 
-    let completed = st.deliveries == st.total_deliveries;
-    let max_util = st
-        .channel_flits
-        .iter()
-        .map(|&f| f as f64 / cycle.max(1) as f64)
-        .fold(0.0, f64::max);
-    let fault_report = faults.map(|f| f.finish(completed));
-    let mut trace = tracer.map(|mut tr| {
-        tr.sample_timeline(cycle, st.deliveries); // final sample (timeline runs only)
-        tr.finish(emb, cycle)
-    });
-    if let Some(t) = trace.as_mut() {
-        t.collective = kind.name().to_string();
-    }
-    if let (Some(t), Some(fr)) = (trace.as_mut(), fault_report.as_ref()) {
-        t.faults = fr.records.clone();
-    }
-    let report = SimReport {
-        cycles: cycle,
-        total_elems: emb.total_len,
-        completed,
-        mismatches: st.mismatches,
-        value_digest: st.value_digest,
-        measured_bandwidth: emb.total_len as f64 / cycle.max(1) as f64,
-        tree_completion: st.tree_completion,
-        first_element_latency: st.first_element_latency,
-        channel_flits: st.channel_flits,
-        max_channel_utilization: max_util,
-        max_vc_occupancy: st.max_vc_occupancy,
-    };
-    let jobs = (0..st.njobs)
-        .map(|j| JobOutcome {
-            first_delivery: st.job_first[j],
-            completion: st.job_completion[j],
-            deliveries: st.job_deliveries[j],
-            elems: st.job_elems[j],
-            value_hash: st.job_hash[j],
-            mismatches: st.job_mismatches[j],
-        })
-        .collect();
-    SingleRun { report, trace, faults: fault_report, jobs, live_pairs: st.live_pairs }
-}
+            if let Some(tr) = tracer.as_mut() {
+                if tr.timeline_due(cycle) {
+                    tr.sample_timeline(cycle, st.deliveries);
+                }
+            }
 
-/// Partitions the embedding's live trees into channel-disjoint components
-/// and packs the components into at most `threads` shard masks (longest
-/// processing time first, by total slice length). Returns `None` when the
-/// fabric does not decompose (fewer than two components) — the caller
-/// falls back to the single-threaded run.
-fn shard_masks(emb: &MultiTreeEmbedding, threads: usize) -> Option<Vec<Vec<bool>>> {
-    let ntrees = emb.trees.len();
-    if ntrees < 2 {
-        return None;
-    }
-    // Union-find over trees: two trees sharing any directed channel are
-    // coupled (their streams contend for its bandwidth).
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    let mut parent: Vec<u32> = (0..ntrees as u32).collect();
-    for members in &emb.channel_streams {
-        let mut first: Option<u32> = None;
-        for &s in members {
-            let t = emb.streams[s as usize].tree;
-            match first {
-                None => first = Some(find(&mut parent, t)),
-                Some(f) => {
-                    let r = find(&mut parent, t);
-                    if r != f {
-                        parent[r as usize] = f;
+            if batchable && st.deliveries < st.total_deliveries {
+                st.batch_step(&mut cycle, w, &mut faults);
+            }
+
+            // Time skip: if this cycle made no progress at all, nothing can
+            // change until the next in-flight arrival (or the next fault
+            // activation / heal). Jump there instead of ticking idly.
+            // Tracing pins per-cycle stepping; an actively faulted fabric
+            // (downed or degraded channels) needs per-cycle stall/degrade
+            // accounting, so skipping pauses until it is quiet again.
+            if !st.progress
+                && !st.pending_arrivals
+                && !traced
+                && st.deliveries < st.total_deliveries
+            {
+                let fault_ok = faults.as_ref().is_none_or(|f| f.skip_safe());
+                if fault_ok {
+                    let mut target = cfg.max_cycles;
+                    if let Some(next) = st.next_arrival() {
+                        target = target.min(next - 1);
                     }
+                    if let Some(next) = faults.as_ref().and_then(|f| f.next_transition()) {
+                        target = target.min(next - 1);
+                    }
+                    if let Some(next) = st.next_release(cycle) {
+                        target = target.min(next - 1);
+                    }
+                    cycle = cycle.max(target.min(cfg.max_cycles));
                 }
             }
         }
-    }
-    // Components over live trees only (an empty tree has no state at all).
-    let mut comp_idx = vec![usize::MAX; ntrees];
-    let mut components: Vec<Vec<usize>> = Vec::new();
-    let mut weights: Vec<u64> = Vec::new();
-    for (ti, t) in emb.trees.iter().enumerate() {
-        if t.len == 0 {
-            continue;
+
+        let completed = st.deliveries == st.total_deliveries;
+        let max_util = st
+            .channel_flits
+            .iter()
+            .map(|&f| f as f64 / cycle.max(1) as f64)
+            .fold(0.0, f64::max);
+        let fault_report = faults.map(|f| f.finish(completed));
+        let mut trace = tracer.map(|mut tr| {
+            tr.sample_timeline(cycle, st.deliveries); // final sample (timeline runs only)
+            tr.finish(emb, cycle)
+        });
+        if let Some(t) = trace.as_mut() {
+            t.collective = kind.name().to_string();
         }
-        let root = find(&mut parent, ti as u32) as usize;
-        let ci = if comp_idx[root] == usize::MAX {
-            comp_idx[root] = components.len();
-            components.push(Vec::new());
-            weights.push(0);
-            comp_idx[root]
-        } else {
-            comp_idx[root]
+        if let (Some(t), Some(fr)) = (trace.as_mut(), fault_report.as_ref()) {
+            t.faults = fr.records.clone();
+        }
+        let report = SimReport {
+            cycles: cycle,
+            total_elems: emb.total_len,
+            completed,
+            mismatches: st.mismatches,
+            value_digest: st.value_digest,
+            measured_bandwidth: emb.total_len as f64 / cycle.max(1) as f64,
+            tree_completion: st.tree_completion,
+            first_element_latency: st.first_element_latency,
+            channel_flits: st.channel_flits,
+            max_channel_utilization: max_util,
+            max_vc_occupancy: st.max_vc_occupancy,
         };
-        components[ci].push(ti);
-        weights[ci] += t.len;
+        let jobs = (0..st.njobs)
+            .map(|j| JobOutcome {
+                first_delivery: st.job_first[j],
+                completion: st.job_completion[j],
+                deliveries: st.job_deliveries[j],
+                elems: st.job_elems[j],
+                value_hash: st.job_hash[j],
+                mismatches: st.job_mismatches[j],
+            })
+            .collect();
+        (report, trace, fault_report, jobs)
     }
-    if components.len() < 2 {
-        return None;
-    }
-    // LPT bin packing: heaviest component into the lightest bucket. The
-    // sort is stable and ties break on the lowest bucket index, so the
-    // assignment — and therefore the merge order — is deterministic.
-    let buckets = threads.min(components.len());
-    let mut order: Vec<usize> = (0..components.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-    let mut loads = vec![0u64; buckets];
-    let mut masks = vec![vec![false; ntrees]; buckets];
-    for &i in &order {
-        let b = (0..buckets).min_by_key(|&b| loads[b]).unwrap();
-        loads[b] += weights[i];
-        for &ti in &components[i] {
-            masks[b][ti] = true;
-        }
-    }
-    Some(masks)
-}
-
-/// Runs one shard per mask on the worker pool and merges the shard
-/// reports into exactly what the single-threaded run would have produced.
-/// Every cross-shard aggregate is either a wrapping sum of
-/// order-independent digest entries, an elementwise sum/max over disjoint
-/// supports, or recomputed from merged integers — so the merge is
-/// byte-identical regardless of scheduling.
-fn run_sharded(
-    emb: &MultiTreeEmbedding,
-    cfg: SimConfig,
-    w: &Workload,
-    kind: Collective,
-    bindings: Option<&[JobBinding]>,
-    masks: &[Vec<bool>],
-) -> (SimReport, Option<TraceReport>, Option<FaultReport>, Vec<JobOutcome>) {
-    let shards = crate::par::parallel_map_workers(masks.len(), masks, |mask| {
-        run_single(emb, cfg, None, None, w, kind, bindings, Some(mask))
-    });
-
-    let ntrees = emb.trees.len();
-    let nchans = emb.channel_streams.len();
-    let mut cycles = 0u64;
-    let mut completed = true;
-    let mut mismatches = 0u64;
-    let mut value_digest = 0u64;
-    let mut tree_completion = vec![0u64; ntrees];
-    let mut channel_flits = vec![0u64; nchans];
-    let mut max_vc_occupancy = 0usize;
-    let mut fel = 0u64;
-    let mut fel_all = true;
-    for sh in &shards {
-        cycles = cycles.max(sh.report.cycles);
-        completed &= sh.report.completed;
-        mismatches += sh.report.mismatches;
-        value_digest = value_digest.wrapping_add(sh.report.value_digest);
-        for (tc, &shc) in tree_completion.iter_mut().zip(&sh.report.tree_completion) {
-            *tc = (*tc).max(shc);
-        }
-        for (cf, &shf) in channel_flits.iter_mut().zip(&sh.report.channel_flits) {
-            *cf += shf;
-        }
-        max_vc_occupancy = max_vc_occupancy.max(sh.report.max_vc_occupancy);
-        if sh.live_pairs > 0 {
-            if sh.report.first_element_latency == 0 {
-                fel_all = false;
-            } else {
-                fel = fel.max(sh.report.first_element_latency);
-            }
-        }
-    }
-    let max_util =
-        channel_flits.iter().map(|&f| f as f64 / cycles.max(1) as f64).fold(0.0, f64::max);
-    let report = SimReport {
-        cycles,
-        total_elems: emb.total_len,
-        completed,
-        mismatches,
-        value_digest,
-        measured_bandwidth: emb.total_len as f64 / cycles.max(1) as f64,
-        tree_completion,
-        first_element_latency: if fel_all { fel } else { 0 },
-        channel_flits,
-        max_channel_utilization: max_util,
-        max_vc_occupancy,
-    };
-
-    // Per-job merge. A job's deliveries/elems/hash/mismatches are plain
-    // sums over the shards that own its trees; first delivery is the
-    // earliest nonzero; completion is the latest shard completion, and
-    // only counts once the *merged* deliveries reach the full job total
-    // (a shard completing its portion is not the job completing).
-    let njobs = bindings.map_or(0, <[JobBinding]>::len);
-    let per_tree_sinks = kind.sinks_per_tree(emb.num_nodes as u64);
-    let mut job_total = vec![0u64; njobs];
-    if let Some(bs) = bindings {
-        for (j, b) in bs.iter().enumerate() {
-            for ti in b.trees.clone() {
-                job_total[j] += emb.trees[ti].len * per_tree_sinks;
-            }
-        }
-    }
-    let mut jobs = vec![
-        JobOutcome {
-            first_delivery: 0,
-            completion: 0,
-            deliveries: 0,
-            elems: 0,
-            value_hash: 0,
-            mismatches: 0,
-        };
-        njobs
-    ];
-    for sh in &shards {
-        for (j, o) in sh.jobs.iter().enumerate() {
-            jobs[j].deliveries += o.deliveries;
-            jobs[j].elems += o.elems;
-            jobs[j].value_hash = jobs[j].value_hash.wrapping_add(o.value_hash);
-            jobs[j].mismatches += o.mismatches;
-            if o.first_delivery > 0 {
-                jobs[j].first_delivery = if jobs[j].first_delivery == 0 {
-                    o.first_delivery
-                } else {
-                    jobs[j].first_delivery.min(o.first_delivery)
-                };
-            }
-        }
-    }
-    for j in 0..njobs {
-        if job_total[j] > 0 && jobs[j].deliveries == job_total[j] {
-            jobs[j].completion =
-                shards.iter().map(|sh| sh.jobs[j].completion).max().unwrap_or(0);
-        }
-    }
-    (report, None, None, jobs)
 }
 
 /// Order-independent digest entry for one root-reduced element: a
@@ -1124,7 +869,9 @@ struct RunState {
     // Progress bookkeeping.
     per_tree_sinks: u64,
     total_deliveries: u64,
-    live_pairs: u64,
+    // (tree, sink) pairs of non-empty trees: once each has received its
+    // first element, the first-element latency is latched.
+    sink_pairs: u64,
     first_done_pairs: u64,
     first_element_latency: u64,
     deliveries: u64,
@@ -1159,7 +906,6 @@ impl RunState {
         cfg: SimConfig,
         kind: Collective,
         bindings: Option<&[JobBinding]>,
-        tree_mask: Option<&[bool]>,
     ) -> Self {
         let n = emb.num_nodes as usize;
         let ntrees = emb.trees.len();
@@ -1167,16 +913,7 @@ impl RunState {
         let nstreams = emb.streams.len();
         let nchans = emb.channel_streams.len();
 
-        // A masked-out tree (sharded mode: some other shard owns it) is
-        // treated exactly like an empty tree — length 0 everywhere, so its
-        // engines never arm, its streams never carry and its deliveries
-        // never count.
-        let tree_len_eff: Vec<u64> = emb
-            .trees
-            .iter()
-            .enumerate()
-            .map(|(ti, t)| if tree_mask.is_none_or(|m| m[ti]) { t.len } else { 0 })
-            .collect();
+        let tree_len: Vec<u64> = emb.trees.iter().map(|t| t.len).collect();
 
         // Wire the per-pair dataflow (two passes: counts, then fill).
         let mut in_cnt = vec![0u32; pairs];
@@ -1242,9 +979,9 @@ impl RunState {
         }
 
         let per_tree_sinks = kind.sinks_per_tree(emb.num_nodes as u64);
-        let total_deliveries: u64 = tree_len_eff.iter().map(|&l| l * per_tree_sinks).sum();
-        let live_pairs: u64 =
-            tree_len_eff.iter().map(|&l| if l > 0 { per_tree_sinks } else { 0 }).sum();
+        let total_deliveries: u64 = tree_len.iter().map(|&l| l * per_tree_sinks).sum();
+        let sink_pairs: u64 =
+            tree_len.iter().map(|&l| if l > 0 { per_tree_sinks } else { 0 }).sum();
 
         let words_per_tree = n.div_ceil(64);
         let sq_shift = (cfg.source_queue as u32).next_power_of_two().trailing_zeros();
@@ -1279,20 +1016,20 @@ impl RunState {
                 for ti in b.trees.clone() {
                     tree_release[ti] = b.release;
                     tree_job[ti] = j as u32;
-                    job_total[j] += tree_len_eff[ti] * per_tree_sinks;
-                    job_elems[j] += tree_len_eff[ti];
+                    job_total[j] += tree_len[ti] * per_tree_sinks;
+                    job_elems[j] += tree_len[ti];
                 }
             }
         }
 
         // Per-tree children-first topological order for the bulk value
         // pass (a preorder DFS from the root, reversed). Only live trees
-        // get an order; an empty/masked tree's slice stays empty.
+        // get an order; an empty tree's slice stays empty.
         let mut topo_off = vec![0u32; ntrees + 1];
         let mut topo_nodes: Vec<u32> = Vec::new();
         let mut stack: Vec<u32> = Vec::new();
         for (ti, t) in emb.trees.iter().enumerate() {
-            if tree_len_eff[ti] > 0 {
+            if tree_len[ti] > 0 {
                 let before = topo_nodes.len();
                 stack.push(t.root);
                 while let Some(v) = stack.pop() {
@@ -1307,7 +1044,7 @@ impl RunState {
         // Every engine of a non-empty tree starts active: leaves can fire
         // on cycle 1, everything else stalls once and deactivates.
         let mut pair_active = vec![0u64; ntrees * words_per_tree];
-        for (ti, &len_eff) in tree_len_eff.iter().enumerate() {
+        for (ti, &len_eff) in tree_len.iter().enumerate() {
             if len_eff == 0 {
                 continue;
             }
@@ -1325,7 +1062,7 @@ impl RunState {
             n,
             ntrees,
             tree_root: emb.trees.iter().map(|t| t.root).collect(),
-            tree_len: tree_len_eff,
+            tree_len,
             tree_off: emb.trees.iter().map(|t| t.offset).collect(),
             track_jobs: bindings.is_some(),
             njobs,
@@ -1385,7 +1122,7 @@ impl RunState {
             inject_epoch: vec![0; n],
             per_tree_sinks,
             total_deliveries,
-            live_pairs,
+            sink_pairs,
             first_done_pairs: 0,
             first_element_latency: 0,
             deliveries: 0,
@@ -1843,7 +1580,7 @@ impl RunState {
         self.delivered[p] += 1;
         if self.delivered[p] == 1 {
             self.first_done_pairs += 1;
-            if self.first_done_pairs == self.live_pairs {
+            if self.first_done_pairs == self.sink_pairs {
                 self.first_element_latency = cycle;
             }
         }
@@ -2069,11 +1806,11 @@ impl RunState {
             }
             return;
         }
-        // Arm only once every live pair has delivered its first element:
+        // Arm only once every sink pair has delivered its first element:
         // the replay must not need to set any `first_*` latch.
         if self.bat.streak >= BATCH_STREAK
             && *cycle >= self.bat.next_try
-            && self.first_done_pairs == self.live_pairs
+            && self.first_done_pairs == self.sink_pairs
         {
             self.capture_shape(*cycle);
             self.bat.c0 = *cycle;

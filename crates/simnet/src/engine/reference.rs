@@ -101,7 +101,7 @@ pub(super) fn run(
     // down, the root shard only for reduce / reduce-scatter.
     let per_tree_sinks = kind.sinks_per_tree(emb.num_nodes as u64);
     let total_deliveries: u64 = emb.trees.iter().map(|t| t.len * per_tree_sinks).sum();
-    let live_pairs: u64 = emb
+    let sink_pairs: u64 = emb
         .trees
         .iter()
         .map(|t| if t.len > 0 { per_tree_sinks } else { 0 })
@@ -177,7 +177,7 @@ pub(super) fn run(
                 eng.delivered += 1;
                 if eng.delivered == 1 {
                     first_done_pairs += 1;
-                    if first_done_pairs == live_pairs {
+                    if first_done_pairs == sink_pairs {
                         first_element_latency = cycle;
                     }
                 }

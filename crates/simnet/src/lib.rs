@@ -48,7 +48,6 @@ pub mod engine;
 pub mod faults;
 pub mod hostbased;
 pub mod p2p;
-pub mod par;
 pub mod routing;
 pub mod stats;
 pub mod trace;
