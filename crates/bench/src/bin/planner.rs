@@ -24,29 +24,37 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |name: &str| {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+    let opt_u64 = |name: &str, default: u64| {
+        pf_bench::opt_u64(&args, name, default).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     };
-    let get_u64 = |name: &str, default: u64| {
-        get(name).map(|v| v.parse().unwrap_or_else(|_| usage())).unwrap_or(default)
-    };
-    let q = match get("--q") {
-        Some(v) => v.parse::<u64>().unwrap_or_else(|_| usage()),
-        None => usage(),
-    };
+    if !args.iter().any(|a| a == "--q") {
+        usage();
+    }
+    let q = opt_u64("--q", 0);
     if pf_galois::prime_power(q).is_none() {
         eprintln!("error: q = {q} is not a prime power.");
         eprintln!("feasible radixes up to 128: {:?}", pf_galois::prime_powers_in(3, 128));
         std::process::exit(2);
     }
-    let solution = get("--solution").unwrap_or_else(|| "edge-disjoint".into());
-    let m = get_u64("--m", 1_000_000);
-    let hop = get_u64("--hop-latency", 4);
-    let attempts = get_u64("--attempts", 30) as usize;
-    let seed = get_u64("--seed", 42);
+    let solution = args
+        .iter()
+        .position(|a| a == "--solution")
+        .and_then(|i| args.get(i + 1))
+        .map_or("edge-disjoint", String::as_str);
+    let m = opt_u64("--m", 1_000_000);
+    let hop = opt_u64("--hop-latency", 4);
+    let hop = u32::try_from(hop).ok().filter(|&h| h >= 1).unwrap_or_else(|| {
+        eprintln!("error: bad --hop-latency {hop}: links need 1..={} cycles", u32::MAX);
+        std::process::exit(2);
+    });
+    let attempts = opt_u64("--attempts", 30) as usize;
+    let seed = opt_u64("--seed", 42);
     let simulate = args.iter().any(|a| a == "--simulate");
 
-    let plan = match solution.as_str() {
+    let plan = match solution {
         "low-depth" => AllreducePlan::low_depth(q),
         "edge-disjoint" => AllreducePlan::edge_disjoint(q, attempts, seed),
         "single-tree" => AllreducePlan::single_tree(q),
@@ -70,6 +78,7 @@ fn main() {
 
     let sizes = plan.split(m);
     println!("\nvector: {m} elements, optimal split across trees: {sizes:?}");
+    // hop ≥ 1 keeps t positive, so an empty vector reads 0 el/cy, not 0/0.
     let t = plan.predicted_time(m, Rational::from_int(hop as i64));
     println!(
         "predicted allreduce time (Theorem 5.1, hop latency {hop}): {} cycles ({:.3} el/cy)",
@@ -78,7 +87,7 @@ fn main() {
     );
 
     if simulate {
-        let cfg = SimConfig { link_latency: hop as u32, ..SimConfig::default() };
+        let cfg = SimConfig { link_latency: hop, ..SimConfig::default() };
         let emb = MultiTreeEmbedding::new(&plan.graph, &plan.trees, &sizes);
         let w = Workload::new(plan.graph.num_vertices(), m);
         println!("\nsimulating ({} streams, VC buffer {} flits)...", emb.streams.len(), cfg.vc_buffer);

@@ -223,14 +223,14 @@ pub fn collect(p: &CapacityParams) -> (Vec<CapacityCell>, Vec<Recommendation>) {
             }
         }
     }
-    let recs = MIXES.iter().map(|mix| recommend(&cells, mix.label)).collect();
+    let recs = MIXES.iter().map(|mix| best_cell(&cells, mix.label)).collect();
     (cells, recs)
 }
 
 /// The maximum-goodput cell of one mix, with a deterministic tie-break
 /// (smaller q first, then construction and policy label order — the
 /// cheapest fleet wins a dead heat).
-fn recommend(cells: &[CapacityCell], mix: &'static str) -> Recommendation {
+fn best_cell(cells: &[CapacityCell], mix: &'static str) -> Recommendation {
     let best = cells
         .iter()
         .filter(|c| c.mix == mix)

@@ -193,8 +193,20 @@ impl TreeConstruction for PolarFlyLowDepth {
                 g.num_edges()
             )));
         }
-        let out = crate::lowdepth::low_depth_trees(&pf, budget.root)
-            .map_err(ConstructError::NoTrees)?;
+        self.trees_on(&pf, budget)
+    }
+}
+
+impl PolarFlyLowDepth {
+    /// Algorithm 3 on an already-built `ER_q` (`budget.root` picks the
+    /// starter quadric) — the one body behind both
+    /// [`TreeConstruction::build`] and [`crate::AllreducePlan::low_depth`].
+    pub fn trees_on(
+        &self,
+        pf: &PolarFly,
+        budget: &Budget,
+    ) -> Result<Vec<RootedTree>, ConstructError> {
+        let out = crate::lowdepth::low_depth_trees(pf, budget.root)?;
         Ok(apply_budget(out.trees, budget))
     }
 }
@@ -236,7 +248,20 @@ impl TreeConstruction for PolarFlyHamiltonian {
                 g.num_edges()
             )));
         }
-        let sol = crate::disjoint::find_edge_disjoint(&s, self.attempts, self.seed);
+        self.trees_on(&s, budget)
+    }
+}
+
+impl PolarFlyHamiltonian {
+    /// The §7.2 search on an already-built Singer graph — the one body
+    /// behind both [`TreeConstruction::build`] and
+    /// [`crate::AllreducePlan::edge_disjoint`].
+    pub fn trees_on(
+        &self,
+        s: &Singer,
+        budget: &Budget,
+    ) -> Result<Vec<RootedTree>, ConstructError> {
+        let sol = crate::disjoint::find_edge_disjoint(s, self.attempts, self.seed);
         if sol.trees.is_empty() {
             return Err(ConstructError::NoTrees(format!(
                 "no edge-disjoint Hamiltonian paths found for q = {}",
@@ -329,8 +354,8 @@ pub struct KaryMultitree {
 
 impl KaryMultitree {
     /// Natural tree count for `g`: its minimum degree (the vertex-capacity
-    /// bound on how many trees can help — see
-    /// [`crate::perf::substrate_bandwidth_bound`]).
+    /// bound on how many trees can help — `λ(G) ≤ δ_min` caps the rate,
+    /// see [`crate::rate::allreduce_rate_bound`]).
     fn natural_count(g: &Graph) -> usize {
         g.min_degree().max(1) as usize
     }
@@ -449,19 +474,32 @@ mod tests {
 
     #[test]
     fn polarfly_backends_match_their_direct_constructors() {
+        use crate::plan::AllreducePlan;
+        let all = Budget::unlimited();
+        for q in [3u64, 5, 7, 9] {
+            let pf = PolarFly::new(q);
+            let low = PolarFlyLowDepth { q }.build(pf.graph(), &all).unwrap();
+            assert_eq!(low.len(), q as usize);
+            spans(&low, pf.graph());
+            assert!(edge_congestion(&low, pf.graph()).iter().all(|&c| c <= 2));
+            assert_eq!(AllreducePlan::low_depth(q).unwrap().trees, low, "q={q}");
+        }
+        for q in [3u64, 4, 7, 8] {
+            let s = Singer::new(q);
+            let ham =
+                PolarFlyHamiltonian { q, attempts: 30, seed: 9 }.build(s.graph(), &all).unwrap();
+            assert_eq!(ham.len(), q.div_ceil(2) as usize);
+            spans(&ham, s.graph());
+            assert!(pairwise_edge_disjoint(&ham, s.graph()));
+            assert_eq!(AllreducePlan::edge_disjoint(q, 30, 9).unwrap().trees, ham, "q={q}");
+        }
         let pf = PolarFly::new(7);
-        let low = PolarFlyLowDepth { q: 7 }.build(pf.graph(), &Budget::unlimited()).unwrap();
-        assert_eq!(low.len(), 7);
-        spans(&low, pf.graph());
-        assert!(edge_congestion(&low, pf.graph()).iter().all(|&c| c <= 2));
-
-        let s = Singer::new(7);
-        let ham = PolarFlyHamiltonian { q: 7, attempts: 30, seed: 9 }
-            .build(s.graph(), &Budget::unlimited())
-            .unwrap();
-        assert_eq!(ham.len(), 4);
-        spans(&ham, s.graph());
-        assert!(pairwise_edge_disjoint(&ham, s.graph()));
+        let bfs = BfsSingle.build(pf.graph(), &all).unwrap();
+        assert_eq!(AllreducePlan::single_tree(7).unwrap().trees, bfs);
+        // Even q has no Algorithm 3 layout: both paths fail the same way.
+        let err = PolarFlyLowDepth { q: 8 }.build(PolarFly::new(8).graph(), &all).unwrap_err();
+        assert!(matches!(err, ConstructError::NoTrees(_)), "{err}");
+        assert_eq!(AllreducePlan::low_depth(8).unwrap_err(), err);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! The trees have depth ≤ 3 (Theorem 7.5), worst-case congestion 2
 //! (Theorem 7.6), and aggregate bandwidth ≥ `q·B/2` (Corollary 7.7).
 
+use crate::construction::ConstructError;
 use pf_graph::{RootedTree, VertexId};
 use pf_topo::{Layout, PolarFly};
 
@@ -28,8 +29,9 @@ pub struct LowDepthTrees {
 }
 
 /// Runs Algorithm 3 on `pf` (odd prime-power `q` only — the layout
-/// requirement). The `starter` quadric is optional; trees are deterministic
-/// given the starter.
+/// requirement; other radices are [`ConstructError::NoTrees`]). The
+/// `starter` quadric is optional; trees are deterministic given the
+/// starter.
 ///
 /// ```
 /// use pf_allreduce::lowdepth::low_depth_trees;
@@ -39,8 +41,11 @@ pub struct LowDepthTrees {
 /// assert_eq!(out.trees.len(), 5);                       // q trees
 /// assert!(out.trees.iter().all(|t| t.depth() <= 3));    // Theorem 7.5
 /// ```
-pub fn low_depth_trees(pf: &PolarFly, starter: Option<VertexId>) -> Result<LowDepthTrees, String> {
-    let layout = Layout::new(pf, starter)?;
+pub fn low_depth_trees(
+    pf: &PolarFly,
+    starter: Option<VertexId>,
+) -> Result<LowDepthTrees, ConstructError> {
+    let layout = Layout::new(pf, starter).map_err(ConstructError::NoTrees)?;
     let g = pf.graph();
     let n = g.num_vertices() as usize;
     let centers: Vec<VertexId> = layout.clusters().iter().map(|c| c.center).collect();
@@ -97,14 +102,18 @@ pub fn low_depth_trees(pf: &PolarFly, starter: Option<VertexId>) -> Result<LowDe
             let pos = avail[j]
                 .iter()
                 .position(|&u| in_tree[u as usize])
-                .ok_or_else(|| format!("E_a exhausted for center {vj} while building T_{i}"))?;
+                .ok_or_else(|| {
+                    ConstructError::NoTrees(format!(
+                        "E_a exhausted for center {vj} while building T_{i}"
+                    ))
+                })?;
             let u = avail[j].remove(pos);
             parent[vj as usize] = Some(u);
             in_tree[vj as usize] = true;
         }
 
         let tree = RootedTree::from_parents(root, parent)
-            .map_err(|e| format!("T_{i} is not a tree: {e}"))?;
+            .map_err(|e| ConstructError::NoTrees(format!("T_{i} is not a tree: {e}")))?;
         trees.push(tree);
     }
     Ok(LowDepthTrees { trees, layout })
@@ -210,7 +219,7 @@ mod tests {
     #[test]
     fn rejects_even_q() {
         let pf = PolarFly::new(4);
-        assert!(low_depth_trees(&pf, None).is_err());
+        assert!(matches!(low_depth_trees(&pf, None), Err(ConstructError::NoTrees(_))));
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! type the examples, the benchmarks and the simulator consume.
 
 use crate::congestion::assign_unit_bandwidth;
-use crate::construction::{Budget, ConstructError, TreeConstruction};
-use crate::disjoint::find_edge_disjoint;
-use crate::lowdepth::low_depth_trees;
+use crate::construction::{
+    BfsSingle, Budget, ConstructError, PolarFlyHamiltonian, PolarFlyLowDepth, TreeConstruction,
+};
 use crate::perf;
 use crate::rational::Rational;
-use pf_graph::{bfs, Graph, RootedTree};
+use pf_graph::{Graph, RootedTree};
 use pf_topo::{PolarFly, Singer};
 
 /// Which of the paper's two solutions (plus baselines) a plan embodies.
@@ -100,32 +100,31 @@ impl AllreducePlan {
         Self::from_parts(q, solution, graph, trees)
     }
 
-    /// Builds the low-depth plan (Algorithm 3). Odd prime powers only.
-    pub fn low_depth(q: u64) -> Result<Self, String> {
+    /// Builds the low-depth plan (Algorithm 3) through
+    /// [`PolarFlyLowDepth::trees_on`]. Odd prime powers only; even `q` is
+    /// [`ConstructError::NoTrees`].
+    pub fn low_depth(q: u64) -> Result<Self, ConstructError> {
         let pf = PolarFly::new(q);
-        let out = low_depth_trees(&pf, None)?;
-        Ok(Self::from_parts(q, Solution::LowDepth, pf.graph().clone(), out.trees))
+        let trees = PolarFlyLowDepth { q }.trees_on(&pf, &Budget::unlimited())?;
+        Ok(Self::from_parts(q, Solution::LowDepth, pf.graph().clone(), trees))
     }
 
     /// Builds the edge-disjoint Hamiltonian plan (§7.2) with the paper's
-    /// randomized independent-set protocol (`attempts` tries, seeded).
-    pub fn edge_disjoint(q: u64, attempts: usize, seed: u64) -> Result<Self, String> {
+    /// randomized independent-set protocol (`attempts` tries, seeded)
+    /// through [`PolarFlyHamiltonian::trees_on`].
+    pub fn edge_disjoint(q: u64, attempts: usize, seed: u64) -> Result<Self, ConstructError> {
         let s = Singer::new(q);
-        let sol = find_edge_disjoint(&s, attempts, seed);
-        if sol.trees.is_empty() {
-            return Err(format!("no edge-disjoint Hamiltonian paths found for q = {q}"));
-        }
-        Ok(Self::from_parts(q, Solution::EdgeDisjoint, s.graph().clone(), sol.trees))
+        let trees = PolarFlyHamiltonian { q, attempts, seed }.trees_on(&s, &Budget::unlimited())?;
+        Ok(Self::from_parts(q, Solution::EdgeDisjoint, s.graph().clone(), trees))
     }
 
-    /// Builds the single-tree baseline: one BFS tree rooted at vertex 0 of
-    /// `ER_q` (depth 2 thanks to diameter 2) — the "current practice" the
-    /// paper's multi-tree solutions are compared against.
-    pub fn single_tree(q: u64) -> Result<Self, String> {
+    /// Builds the single-tree baseline: one [`BfsSingle`] tree rooted at
+    /// vertex 0 of `ER_q` (depth 2 thanks to diameter 2) — the "current
+    /// practice" the paper's multi-tree solutions are compared against.
+    pub fn single_tree(q: u64) -> Result<Self, ConstructError> {
         let pf = PolarFly::new(q);
-        let (_, parents) = bfs::tree(pf.graph(), 0);
-        let t = RootedTree::from_parents(0, parents).map_err(|e| e.to_string())?;
-        Ok(Self::from_parts(q, Solution::SingleTree, pf.graph().clone(), vec![t]))
+        let trees = BfsSingle.build(pf.graph(), &Budget::unlimited())?;
+        Ok(Self::from_parts(q, Solution::SingleTree, pf.graph().clone(), trees))
     }
 
     /// Builds a plan over an arbitrary substrate through a pluggable
@@ -134,7 +133,7 @@ impl AllreducePlan {
     /// ([`Solution::Constructed`]); `q` is 0, so the PolarFly-specific
     /// [`AllreducePlan::optimal_bandwidth`] /
     /// [`AllreducePlan::normalized_bandwidth`] do not apply — compare
-    /// against [`AllreducePlan::substrate_bound`] instead. Everything
+    /// against [`AllreducePlan::rate_bound`] instead. Everything
     /// downstream (simulator embedding, faults/recovery, scheduler
     /// subsets) works on these plans unchanged.
     pub fn construct(
@@ -159,19 +158,11 @@ impl AllreducePlan {
         self.graph.num_vertices() as u64
     }
 
-    /// Substrate-generic aggregate-bandwidth upper bound
-    /// ([`perf::substrate_bandwidth_bound`]): `min(|E|/(n−1), δ_min)`.
-    /// Holds for every plan, on every substrate, in exact rationals.
-    pub fn substrate_bound(&self) -> Rational {
-        perf::substrate_bandwidth_bound(&self.graph)
-    }
-
     /// Exact allreduce rate upper bound for this plan's substrate
     /// ([`crate::rate::allreduce_rate_bound`]): `min(|E|/(n−1), λ(G))` in
-    /// exact rationals. Tightens [`AllreducePlan::substrate_bound`]
-    /// (global min cut instead of `δ_min`); `aggregate ≤ rate_bound()` is
-    /// the standing paper-claims invariant for every plan on every
-    /// substrate (see `docs/RATES.md`).
+    /// exact rationals — the plan's one aggregate ceiling.
+    /// `aggregate ≤ rate_bound()` is the standing paper-claims invariant
+    /// for every plan on every substrate (see `docs/RATES.md`).
     pub fn rate_bound(&self) -> Rational {
         crate::rate::allreduce_rate_bound(&self.graph)
             .expect("plans only exist on connected substrates with >= 2 vertices")
@@ -278,26 +269,6 @@ impl AllreducePlan {
             .max()
             .unwrap_or(0)
     }
-
-    /// Picks the faster of the paper's two solutions for the given message
-    /// size under the Theorem 5.1 model — the §7.3 trade-off, packaged:
-    /// small vectors favor the depth-3 trees, large vectors the
-    /// optimal-bandwidth Hamiltonian trees. Falls back to the
-    /// edge-disjoint plan for even `q` (where the low-depth construction
-    /// is unavailable).
-    pub fn recommend(q: u64, m: u64, hop_latency: Rational) -> Result<Self, String> {
-        let ham = Self::edge_disjoint(q, 30, 0x5EC)?;
-        match Self::low_depth(q) {
-            Ok(low) => {
-                if low.predicted_time(m, hop_latency) <= ham.predicted_time(m, hop_latency) {
-                    Ok(low)
-                } else {
-                    Ok(ham)
-                }
-            }
-            Err(_) => Ok(ham),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -400,20 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn recommendation_follows_the_crossover() {
-        let hop = Rational::from_int(4);
-        // Tiny vectors: depth-3 trees.
-        let small = AllreducePlan::recommend(11, 8, hop).unwrap();
-        assert_eq!(small.solution, Solution::LowDepth);
-        // Huge vectors: optimal-bandwidth trees.
-        let big = AllreducePlan::recommend(11, 100_000_000, hop).unwrap();
-        assert_eq!(big.solution, Solution::EdgeDisjoint);
-        // Even q: always edge-disjoint.
-        let even = AllreducePlan::recommend(8, 8, hop).unwrap();
-        assert_eq!(even.solution, Solution::EdgeDisjoint);
-    }
-
-    #[test]
     fn tree_subset_recomputes_congestion() {
         let full = AllreducePlan::low_depth(7).unwrap();
         let sub = full.tree_subset(&[0, 2, 4]);
@@ -480,7 +437,7 @@ mod tests {
         assert_eq!(plan.num_nodes(), 16);
         assert_eq!(plan.solution.label(), "kary-multitree");
         assert!(plan.aggregate.is_positive());
-        assert!(plan.aggregate <= plan.substrate_bound());
+        assert!(plan.aggregate <= plan.rate_bound());
         // The generic plan drives the same downstream machinery.
         let sizes = plan.split(1000);
         assert_eq!(sizes.iter().sum::<u64>(), 1000);

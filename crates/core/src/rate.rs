@@ -20,12 +20,12 @@
 //!
 //! [`allreduce_rate_bound`] computes `min` of the two in exact rationals
 //! ([`Rational`]) via a deterministic Stoer–Wagner min-cut ([`global_min_cut`]).
-//! It refines [`crate::perf::substrate_bandwidth_bound`]
-//! (`min(|E|/(n−1), δ_min)`): always at or below it, so every invariant the
-//! repo already asserts against the looser bound transfers for free.
+//! It is the repository's one aggregate ceiling: since `λ(G) ≤ δ_min`, it
+//! is never looser than the degree-only bound `min(|E|/(n−1), δ_min)`.
 //!
-//! Known substrate families have closed forms ([`polarfly_bound`],
-//! [`torus_bound`], [`hypercube_bound`], [`complete_bound`]); the property
+//! Known substrate families have closed forms (the Corollary 7.1 optimum
+//! [`crate::perf::optimal_bandwidth`] on PolarFly, [`torus_bound`],
+//! [`hypercube_bound`], [`complete_bound`]); the property
 //! harness asserts the generic computation reproduces each of them, and
 //! `tests/paper_claims.rs` holds `achieved ≤ bound` as a standing
 //! invariant for every construction backend × catalog substrate. On
@@ -209,17 +209,6 @@ pub fn global_min_cut(g: &Graph) -> u64 {
     best
 }
 
-/// Closed form for PolarFly `ER_q`: the Corollary 7.1 optimum
-/// `(q + 1)/2`. The edge budget `|E|/(n−1) = q(q+1)²/2 / (q² + q)` reduces
-/// to exactly this, and the min cut `λ = q` (the quadric degree) sits
-/// above it, so the generic computation reproduces the paper's bound —
-/// asserted in the harness. The Singer labeling `S_q` is isomorphic
-/// (Theorem 6.6), so the same closed form covers both catalogs.
-#[must_use]
-pub fn polarfly_bound(q: u64) -> Rational {
-    Rational::new(q as i64 + 1, 2)
-}
-
 /// Closed form for the `d`-cube (`d ≥ 1`): `d·2^(d−1) / (2^d − 1)` — the
 /// edge budget, which sits strictly below the min cut `λ = d`.
 #[must_use]
@@ -295,9 +284,8 @@ mod tests {
     fn lopsided_barbell_cut_beats_the_degree_bound() {
         // Two K5s joined by TWO bridges: δ_min = 4 (every vertex sits in a
         // K5; the bridge endpoints have degree 5), |E|/(n−1) = 22/9 > 2,
-        // but the min cut is the 2-edge waist. The old
-        // substrate_bandwidth_bound = min(22/9, 4) = 22/9 misses it; the
-        // rate bound finds 2.
+        // but the min cut is the 2-edge waist. The degree-only bound
+        // min(22/9, 4) = 22/9 misses it; the rate bound finds 2.
         let mut g = Graph::new(10);
         for side in [0u32, 5] {
             for u in side..side + 5 {
@@ -314,13 +302,13 @@ mod tests {
         assert_eq!(b.edge_budget, Rational::new(22, 9));
         assert_eq!(b.bound, Rational::from_int(2));
         assert_eq!(b.limiter(), RateLimiter::MinCut);
-        assert!(b.bound < crate::perf::substrate_bandwidth_bound(&g));
+        assert!(b.bound < b.edge_budget.min(Rational::from_int(b.min_degree as i64)));
     }
 
     #[test]
-    fn rate_bound_refines_the_substrate_bound() {
-        // λ ≤ δ_min always, so the rate bound never exceeds the
-        // substrate-generic bound — on any graph.
+    fn min_cut_never_exceeds_the_min_degree() {
+        // Every singleton cut is a cut, so λ ≤ δ_min on any graph — an
+        // independent sanity check on Stoer–Wagner.
         for g in [
             builders::cycle(7),
             builders::complete(9),
@@ -331,7 +319,6 @@ mod tests {
             crate::substrates::bridged_cliques(5),
         ] {
             let b = allreduce_rate_bound(&g).unwrap();
-            assert!(b.bound <= crate::perf::substrate_bandwidth_bound(&g));
             assert!(b.min_cut <= b.min_degree as u64);
             assert!(b.bound.is_positive());
         }
@@ -340,14 +327,11 @@ mod tests {
     #[test]
     fn closed_forms_match_the_generic_computation() {
         for q in [3u64, 5, 7, 9] {
+            let optimum = crate::perf::optimal_bandwidth(q, Rational::ONE);
             let pf = pf_topo::PolarFly::new(q);
-            assert_eq!(allreduce_rate_bound(pf.graph()).unwrap().bound, polarfly_bound(q), "q={q}");
+            assert_eq!(allreduce_rate_bound(pf.graph()).unwrap().bound, optimum, "q={q}");
             let s = pf_topo::Singer::new(q);
-            assert_eq!(
-                allreduce_rate_bound(s.graph()).unwrap().bound,
-                polarfly_bound(q),
-                "singer q={q}"
-            );
+            assert_eq!(allreduce_rate_bound(s.graph()).unwrap().bound, optimum, "singer q={q}");
         }
         for d in [1u32, 2, 3, 4, 5] {
             assert_eq!(
@@ -370,13 +354,6 @@ mod tests {
                 torus_bound(&dims),
                 "{dims:?}"
             );
-        }
-    }
-
-    #[test]
-    fn polarfly_bound_is_the_corollary_7_1_optimum() {
-        for q in [3u64, 5, 7, 9, 11] {
-            assert_eq!(polarfly_bound(q), crate::perf::optimal_bandwidth(q, Rational::ONE));
         }
     }
 

@@ -13,6 +13,7 @@ use crate::construction::{
     BfsSingle, GreedyPeel, KaryMultitree, PolarFlyHamiltonian, PolarFlyLowDepth,
     TreeConstruction,
 };
+use crate::rational::Rational;
 use crate::starprod::StarProductDisjoint;
 use pf_graph::{builders, cartesian_product, shifted_product, Graph};
 use pf_topo::torus::Torus;
@@ -140,14 +141,14 @@ pub fn full_catalog() -> Vec<Substrate> {
 /// closed form (random, products, bridged cliques) — there the generic
 /// [`crate::rate::allreduce_rate_bound`] is the only bound. The harness
 /// asserts the generic computation reproduces every `Some` exactly.
-pub fn closed_form_rate_bound(name: &str) -> Option<crate::rational::Rational> {
+pub fn closed_form_rate_bound(name: &str) -> Option<Rational> {
     use crate::rate;
     if let Some(q) = name
         .strip_prefix("polarfly-q")
         .or_else(|| name.strip_prefix("singer-q"))
         .and_then(|s| s.parse::<u64>().ok())
     {
-        return Some(rate::polarfly_bound(q));
+        return Some(crate::perf::optimal_bandwidth(q, Rational::ONE));
     }
     if let Some(dims) = name.strip_prefix("torus-").map(|s| {
         s.split('x').map(|d| d.parse::<u32>().ok()).collect::<Option<Vec<_>>>()
@@ -233,8 +234,8 @@ mod tests {
     #[test]
     fn closed_forms_cover_the_expected_families() {
         use crate::rate;
-        assert_eq!(closed_form_rate_bound("polarfly-q5"), Some(rate::polarfly_bound(5)));
-        assert_eq!(closed_form_rate_bound("singer-q7"), Some(rate::polarfly_bound(7)));
+        assert_eq!(closed_form_rate_bound("polarfly-q5"), Some(Rational::from_int(3)));
+        assert_eq!(closed_form_rate_bound("singer-q7"), Some(Rational::from_int(4)));
         assert_eq!(closed_form_rate_bound("torus-3x3x3"), Some(rate::torus_bound(&[3, 3, 3])));
         assert_eq!(closed_form_rate_bound("hypercube-4"), Some(rate::hypercube_bound(4)));
         assert_eq!(closed_form_rate_bound("complete-k8"), Some(rate::complete_bound(8)));

@@ -83,7 +83,7 @@ pub fn verify_lemma_7_8(g: &Graph, trees: &[RootedTree]) -> Result<(), String> {
 /// low-depth trees is at least `q·B/2` (unit `B`).
 pub fn verify_low_depth_bandwidth(g: &Graph, trees: &[RootedTree], q: u64) -> Result<(), String> {
     let a = assign_unit_bandwidth(g, trees);
-    let bound = Rational::new(q as i64, 2);
+    let bound = crate::perf::low_depth_bound(q, Rational::ONE);
     if a.aggregate() < bound {
         return Err(format!("aggregate bandwidth {} below q/2 = {bound}", a.aggregate()));
     }
