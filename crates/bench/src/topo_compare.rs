@@ -25,7 +25,7 @@
 //! labelings).
 
 use pf_allreduce::plan::AllreducePlan;
-use pf_allreduce::rate::allreduce_rate_bound;
+use pf_allreduce::rate::{allreduce_rate_bound, cut_weight};
 use pf_allreduce::rational::Rational;
 use pf_allreduce::substrates::{backends_for, closed_form_rate_bound, full_catalog, quick_catalog};
 use pf_allreduce::{Budget, ConstructError};
@@ -69,6 +69,13 @@ pub fn topo_compare_rows(full: bool) -> Vec<TopoCompareRow> {
         let rate = allreduce_rate_bound(&sub.graph)
             .unwrap_or_else(|e| panic!("{}: {e}", sub.name));
         assert!(rate.min_cut <= rate.min_degree as u64, "{}: min cut above δ_min", sub.name);
+        assert!(
+            !rate.cut.is_empty() && rate.cut.len() < sub.graph.num_vertices() as usize,
+            "{}: witness side is not a non-empty proper subset",
+            sub.name
+        );
+        let witness = cut_weight(&sub.graph, &rate.cut);
+        assert_eq!(witness, rate.min_cut, "{}: witness cut weight", sub.name);
         if let Some(closed) = closed_form_rate_bound(&sub.name) {
             assert_eq!(
                 rate.bound, closed,
@@ -85,8 +92,9 @@ pub fn topo_compare_rows(full: bool) -> Vec<TopoCompareRow> {
                     Err(e) => panic!("{} on {}: {e}", backend.name(), sub.name),
                 };
             assert!(
-                rate.certifies(plan.aggregate),
-                "{} on {}: aggregate beats the rate bound",
+                rate.certifies(plan.aggregate)
+                    && plan.aggregate <= Rational::from_int(witness as i64),
+                "{} on {}: aggregate beats the rate bound or its witness cut",
                 backend.name(),
                 sub.name
             );

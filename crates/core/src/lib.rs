@@ -78,7 +78,9 @@ pub use construction::{
     PolarFlyLowDepth, TreeConstruction,
 };
 pub use plan::{AllreducePlan, Solution};
-pub use rate::{allreduce_rate_bound, global_min_cut, RateBound, RateError, RateLimiter};
+pub use rate::{
+    allreduce_rate_bound, cut_weight, global_min_cut, MinCut, RateBound, RateError, RateLimiter,
+};
 pub use rational::Rational;
 pub use fingerprint::{graph_fingerprint, plan_fingerprint};
 pub use recovery::{extend_degraded, rebuild_degraded, DegradedPlan, FaultSet, RebuildError};

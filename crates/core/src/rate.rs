@@ -19,9 +19,13 @@
 //!   vertex sees (see `lopsided_barbell_cut_beats_the_degree_bound`).
 //!
 //! [`allreduce_rate_bound`] computes `min` of the two in exact rationals
-//! ([`Rational`]) via a deterministic Stoer–Wagner min-cut ([`global_min_cut`]).
-//! It is the repository's one aggregate ceiling: since `λ(G) ≤ δ_min`, it
-//! is never looser than the degree-only bound `min(|E|/(n−1), δ_min)`.
+//! ([`Rational`]) via a deterministic sparse min cut ([`global_min_cut`],
+//! Nagamochi–Ono–Ibaraki contraction on adjacency lists). It is the
+//! repository's one aggregate ceiling: since `λ(G) ≤ δ_min`, it is never
+//! looser than the degree-only bound `min(|E|/(n−1), δ_min)`. The bound
+//! carries its witness — the side `S` of a minimum cut — and [`cut_weight`]
+//! recounts `|∂S|` from the edge list, so callers can check `λ(G)` without
+//! trusting the min-cut routine.
 //!
 //! Known substrate families have closed forms (the Corollary 7.1 optimum
 //! [`crate::perf::optimal_bandwidth`] on PolarFly, [`torus_bound`],
@@ -36,7 +40,10 @@
 //! typed [`RateError`]s, never a bogus bound.
 
 use crate::rational::Rational;
-use pf_graph::{bfs, Graph};
+use pf_graph::dsu::Dsu;
+use pf_graph::{bfs, Graph, VertexId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Why a rate bound could not be computed. Mirrors the degenerate cases of
 /// [`crate::construction::ConstructError`]: where no plan can exist, no
@@ -85,13 +92,16 @@ pub enum RateLimiter {
 
 /// The exact allreduce rate upper bound for one substrate, with both
 /// constituent terms kept for reporting (the `topo-compare` table and
-/// `docs/RATES.md` print them side by side).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `docs/RATES.md` print them side by side) and the min cut's witness.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RateBound {
     /// The edge-budget term `|E| / (n − 1)`.
     pub edge_budget: Rational,
     /// The global min cut `λ(G)` (unit capacities).
     pub min_cut: u64,
+    /// Witness for `min_cut`: the side `S` of a minimum cut ([`MinCut::side`]),
+    /// with `cut_weight(g, &cut) == min_cut`.
+    pub cut: Vec<VertexId>,
     /// Minimum degree `δ_min` — the singleton-cut relaxation, kept so
     /// reports can show when the true min cut tightens it.
     pub min_degree: u32,
@@ -144,69 +154,180 @@ pub fn allreduce_rate_bound(g: &Graph) -> Result<RateBound, RateError> {
     }
     let n = g.num_vertices() as i64;
     let edge_budget = Rational::new(g.num_edges() as i64, n - 1);
-    let min_cut = global_min_cut(g);
+    let MinCut { weight: min_cut, side: cut } = global_min_cut(g);
     let bound = edge_budget.min(Rational::from_int(min_cut as i64));
-    Ok(RateBound { edge_budget, min_cut, min_degree: g.min_degree(), bound })
+    Ok(RateBound { edge_budget, min_cut, cut, min_degree: g.min_degree(), bound })
 }
 
-/// Global minimum edge cut `λ(G)` of a connected graph with unit
-/// capacities, by the Stoer–Wagner algorithm (O(n³), exact integer
-/// arithmetic, deterministic tie-breaking — lowest index wins among
-/// equally tight vertices, so repeated runs return identical phase
-/// orders).
+/// A global minimum edge cut together with its witness.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MinCut {
+    /// The cut weight `|∂S|` (unit capacities).
+    pub weight: u64,
+    /// The side `S` of the cut: a non-empty proper subset of the
+    /// vertices, in increasing order. [`cut_weight`] recounts `|∂S|` from
+    /// the edge list, so the weight can be checked without trusting the
+    /// contraction.
+    pub side: Vec<VertexId>,
+}
+
+/// Global minimum edge cut `λ(G)` of a graph with unit capacities, with
+/// the side of one minimum cut as its witness.
 ///
-/// Callers must hand in a connected graph with at least two vertices
-/// (checked by [`allreduce_rate_bound`]); on a disconnected graph the
-/// result would be 0, which this module treats as an error upstream.
+/// Nagamochi–Ono–Ibaraki contraction on adjacency lists with integer
+/// multi-edge weights. Each round
+///
+/// 1. records every singleton cut (the weighted degree of a super-vertex)
+///    as a candidate `λ̂`, keeping its member set;
+/// 2. computes a maximum-adjacency order — repeatedly scan the unscanned
+///    vertex `u` with the largest weight `r(u)` to the scanned ones —
+///    from a bucket queue whose keys are capped at `λ̂` (lowest index
+///    wins ties, so orders are deterministic);
+/// 3. unions `v` and `u` whenever scanning edge `(v, u)` leaves
+///    `r(u) ≥ λ̂`: the two are then at least `λ̂`-connected, so no cut
+///    lighter than the recorded one separates them;
+/// 4. rebuilds the contracted adjacency, merging parallel edges and
+///    dropping self-loops.
+///
+/// The last vertex of an order has `r` equal to its full weighted degree,
+/// which is `≥ λ̂`, so every round contracts at least one edge. A round
+/// costs O(m + n) plus the queue's heap operations; the total is
+/// O(rounds · (m + n) · log n) with rounds ≤ n − 1 — about a hundred
+/// rounds on the 993-router PolarFly at q = 31. No n × n matrix is ever
+/// built.
+///
+/// On a disconnected graph the weight is 0 and the side is a union of
+/// components ([`allreduce_rate_bound`] reports that case as a
+/// [`RateError`] first). Panics on fewer than two vertices.
 #[must_use]
-pub fn global_min_cut(g: &Graph) -> u64 {
-    let n = g.num_vertices() as usize;
+pub fn global_min_cut(g: &Graph) -> MinCut {
+    let n = g.num_vertices();
     assert!(n >= 2, "min cut needs at least two vertices");
-    // Dense weight matrix of merged super-vertices; unit capacity per edge.
-    let mut w = vec![vec![0u64; n]; n];
-    for (_, u, v) in g.edges() {
-        w[u as usize][v as usize] += 1;
-        w[v as usize][u as usize] += 1;
-    }
-    let mut vertices: Vec<usize> = (0..n).collect();
-    let mut best = u64::MAX;
-    while vertices.len() > 1 {
-        let m = vertices.len();
-        // One minimum-cut phase: grow A from the first active vertex,
-        // always adding the most tightly connected remaining vertex.
-        let mut added = vec![false; m];
-        let mut tightness = vec![0u64; m];
-        let mut order = Vec::with_capacity(m);
-        for _ in 0..m {
-            let mut sel = usize::MAX;
-            for i in 0..m {
-                if !added[i] && (sel == usize::MAX || tightness[i] > tightness[sel]) {
-                    sel = i;
-                }
-            }
-            added[sel] = true;
-            order.push(sel);
-            for i in 0..m {
-                if !added[i] {
-                    tightness[i] += w[vertices[sel]][vertices[i]];
-                }
+    // Contracted multigraph: (super-vertex, weight) lists, no self-loops.
+    let mut adj: Vec<Vec<(u32, u64)>> =
+        g.vertices().map(|u| g.neighbors(u).map(|v| (v, 1)).collect()).collect();
+    // The super-vertex that holds each original vertex.
+    let mut label: Vec<u32> = g.vertices().collect();
+    let mut best = MinCut { weight: u64::MAX, side: Vec::new() };
+    while adj.len() > 1 {
+        for (s, list) in adj.iter().enumerate() {
+            let degree: u64 = list.iter().map(|&(_, w)| w).sum();
+            if degree < best.weight {
+                best.weight = degree;
+                best.side = (0..n).filter(|&v| label[v as usize] == s as u32).collect();
             }
         }
-        // The cut of the phase separates the last-added vertex `t` from
-        // the rest; its tightness froze at selection time, so it equals
-        // the full cut weight. Then merge `t` into the second-to-last `s`.
-        let (s_i, t_i) = (order[m - 2], order[m - 1]);
-        best = best.min(tightness[t_i]);
-        let (s, t) = (vertices[s_i], vertices[t_i]);
-        for &v in &vertices {
-            if v != s && v != t {
-                w[s][v] += w[t][v];
-                w[v][s] = w[s][v];
-            }
+        if best.weight == 0 {
+            break; // disconnected: nothing beats an empty cut
         }
-        vertices.remove(t_i);
+        let mut dsu = ma_order_contractions(&adj, best.weight);
+        adj = contract(&adj, &mut dsu, &mut label);
     }
     best
+}
+
+/// One capped maximum-adjacency order over `adj`, returning the unions of
+/// every scanned edge `(v, u)` that left `r(u) ≥ cap`.
+fn ma_order_contractions(adj: &[Vec<(u32, u64)>], cap: u64) -> Dsu {
+    let n = adj.len();
+    let key = |r: u64| r.min(cap) as usize;
+    let mut dsu = Dsu::new(n as u32);
+    let mut r = vec![0u64; n];
+    let mut scanned = vec![false; n];
+    // Bucket k holds the vertices whose capped key is k; min-heaps give the
+    // lowest index first. Keys only grow, so an entry is stale once its
+    // vertex is scanned or has moved up.
+    let mut buckets: Vec<BinaryHeap<Reverse<u32>>> = vec![BinaryHeap::new(); key(cap) + 1];
+    buckets[0] = (0..n as u32).map(Reverse).collect();
+    let mut top = 0;
+    for _ in 0..n {
+        let u = loop {
+            match buckets[top].pop() {
+                Some(Reverse(u)) if !scanned[u as usize] && key(r[u as usize]) == top => break u,
+                Some(_) => {}
+                None => top -= 1,
+            }
+        };
+        scanned[u as usize] = true;
+        for &(v, w) in &adj[u as usize] {
+            let vi = v as usize;
+            if scanned[vi] {
+                continue;
+            }
+            let before = key(r[vi]);
+            r[vi] += w;
+            if r[vi] >= cap {
+                dsu.union(u, v);
+            }
+            let k = key(r[vi]);
+            if k != before {
+                buckets[k].push(Reverse(v));
+                top = top.max(k);
+            }
+        }
+    }
+    dsu
+}
+
+/// The multigraph `adj` with every DSU class merged into one super-vertex,
+/// numbered by lowest member; relabels `label` to match.
+fn contract(adj: &[Vec<(u32, u64)>], dsu: &mut Dsu, label: &mut [u32]) -> Vec<Vec<(u32, u64)>> {
+    let n = adj.len();
+    let mut id = vec![u32::MAX; n];
+    let mut map = vec![0u32; n];
+    let mut k = 0u32;
+    for v in 0..n as u32 {
+        let root = dsu.find(v) as usize;
+        if id[root] == u32::MAX {
+            id[root] = k;
+            k += 1;
+        }
+        map[v as usize] = id[root];
+    }
+    let mut members = vec![Vec::new(); k as usize];
+    for (v, &x) in map.iter().enumerate() {
+        members[x as usize].push(v);
+    }
+    // `slot[y]` is y's position in the list being built, valid while
+    // `owner[y]` names that list.
+    let mut merged: Vec<Vec<(u32, u64)>> = vec![Vec::new(); k as usize];
+    let mut owner = vec![u32::MAX; k as usize];
+    let mut slot = vec![0usize; k as usize];
+    for x in 0..k {
+        let list = &mut merged[x as usize];
+        for &u in &members[x as usize] {
+            for &(v, w) in &adj[u] {
+                let y = map[v as usize];
+                if y == x {
+                    continue;
+                }
+                if owner[y as usize] == x {
+                    list[slot[y as usize]].1 += w;
+                } else {
+                    owner[y as usize] = x;
+                    slot[y as usize] = list.len();
+                    list.push((y, w));
+                }
+            }
+        }
+    }
+    for l in label.iter_mut() {
+        *l = map[*l as usize];
+    }
+    merged
+}
+
+/// Number of edges of `g` with exactly one endpoint in `side` — the cut
+/// weight `|∂S|`, counted straight from the edge list. It shares no code
+/// with [`global_min_cut`], so it checks that routine's witness
+/// independently.
+#[must_use]
+pub fn cut_weight(g: &Graph, side: &[VertexId]) -> u64 {
+    let mut inside = vec![false; g.num_vertices() as usize];
+    for &v in side {
+        inside[v as usize] = true;
+    }
+    g.edges().filter(|&(_, u, v)| inside[u as usize] != inside[v as usize]).count() as u64
 }
 
 /// Closed form for the `d`-cube (`d ≥ 1`): `d·2^(d−1) / (2^d − 1)` — the
@@ -240,7 +361,95 @@ pub fn torus_bound(dims: &[u32]) -> Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_graph::builders;
+    use pf_graph::{builders, edge_deleted};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The dense Stoer–Wagner min cut (O(n³) time, O(n²) memory) that
+    /// `global_min_cut` replaced, kept as the reference it is checked
+    /// against. Deterministic: lowest index wins among equally tight
+    /// vertices.
+    fn stoer_wagner(g: &Graph) -> u64 {
+        let n = g.num_vertices() as usize;
+        assert!(n >= 2, "min cut needs at least two vertices");
+        // Dense weight matrix of merged super-vertices; unit capacity per edge.
+        let mut w = vec![vec![0u64; n]; n];
+        for (_, u, v) in g.edges() {
+            w[u as usize][v as usize] += 1;
+            w[v as usize][u as usize] += 1;
+        }
+        let mut vertices: Vec<usize> = (0..n).collect();
+        let mut best = u64::MAX;
+        while vertices.len() > 1 {
+            let m = vertices.len();
+            // One minimum-cut phase: grow A from the first active vertex,
+            // always adding the most tightly connected remaining vertex.
+            let mut added = vec![false; m];
+            let mut tightness = vec![0u64; m];
+            let mut order = Vec::with_capacity(m);
+            for _ in 0..m {
+                let mut sel = usize::MAX;
+                for i in 0..m {
+                    if !added[i] && (sel == usize::MAX || tightness[i] > tightness[sel]) {
+                        sel = i;
+                    }
+                }
+                added[sel] = true;
+                order.push(sel);
+                for i in 0..m {
+                    if !added[i] {
+                        tightness[i] += w[vertices[sel]][vertices[i]];
+                    }
+                }
+            }
+            // The cut of the phase separates the last-added vertex `t` from
+            // the rest; its tightness froze at selection time, so it equals
+            // the full cut weight. Then merge `t` into the second-to-last `s`.
+            let (s_i, t_i) = (order[m - 2], order[m - 1]);
+            best = best.min(tightness[t_i]);
+            let (s, t) = (vertices[s_i], vertices[t_i]);
+            for &v in &vertices {
+                if v != s && v != t {
+                    w[s][v] += w[t][v];
+                    w[v][s] = w[s][v];
+                }
+            }
+            vertices.remove(t_i);
+        }
+        best
+    }
+
+    /// `mc` is a checked witness: a sorted, non-empty proper vertex subset
+    /// whose independently counted cut weight is `mc.weight`.
+    fn assert_witness(g: &Graph, mc: &MinCut, ctx: &str) {
+        assert!(!mc.side.is_empty(), "{ctx}: empty side");
+        assert!(mc.side.len() < g.num_vertices() as usize, "{ctx}: side is every vertex");
+        assert!(mc.side.windows(2).all(|w| w[0] < w[1]), "{ctx}: side not strictly increasing");
+        assert_eq!(cut_weight(g, &mc.side), mc.weight, "{ctx}: witness weight");
+    }
+
+    /// Checks `global_min_cut` against the reference on `g`.
+    fn assert_matches_reference(g: &Graph, ctx: &str) {
+        let mc = global_min_cut(g);
+        assert_eq!(mc.weight, stoer_wagner(g), "{ctx}: min cut differs from Stoer–Wagner");
+        assert_witness(g, &mc, ctx);
+    }
+
+    /// Two K5s joined by two bridges: δ_min = 4 but λ = 2.
+    fn lopsided_barbell() -> Graph {
+        let mut g = Graph::new(10);
+        for side in [0u32, 5] {
+            for u in side..side + 5 {
+                for v in u + 1..side + 5 {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        g.add_edge(0, 5);
+        g.add_edge(1, 6);
+        g
+    }
 
     #[test]
     fn degenerate_graphs_are_typed_errors() {
@@ -260,21 +469,42 @@ mod tests {
 
     #[test]
     fn min_cut_on_known_graphs() {
-        assert_eq!(global_min_cut(&builders::path(5)), 1);
-        assert_eq!(global_min_cut(&builders::cycle(6)), 2);
-        assert_eq!(global_min_cut(&builders::complete(6)), 5);
-        assert_eq!(global_min_cut(&builders::hypercube(4)), 4);
-        assert_eq!(global_min_cut(&builders::star(7)), 1);
-        // Two K4s joined by one bridge: the bridge is the min cut.
+        for (g, lambda) in [
+            (builders::path(5), 1),
+            (builders::cycle(6), 2),
+            (builders::complete(6), 5),
+            (builders::hypercube(4), 4),
+            (builders::star(7), 1),
+        ] {
+            let mc = global_min_cut(&g);
+            assert_eq!(mc.weight, lambda);
+            assert_witness(&g, &mc, "known graph");
+        }
+        // Two K4s joined by one bridge: the bridge is the min cut, and the
+        // witness is one of the cliques.
         let g = crate::substrates::bridged_cliques(4);
-        assert_eq!(global_min_cut(&g), 1);
+        let mc = global_min_cut(&g);
+        assert_eq!(mc.weight, 1);
+        assert_eq!(mc.side.len(), 4);
+        assert_witness(&g, &mc, "bridged K4s");
+    }
+
+    #[test]
+    fn disconnected_graphs_have_a_zero_cut_witness() {
+        let mut g = Graph::new(5);
+        g.add_edge(0, 1);
+        g.add_edge(1, 2);
+        g.add_edge(3, 4);
+        let mc = global_min_cut(&g);
+        assert_eq!(mc.weight, 0);
+        assert_witness(&g, &mc, "two components");
     }
 
     #[test]
     fn min_cut_two_vertices() {
         let mut g = Graph::new(2);
         g.add_edge(0, 1);
-        assert_eq!(global_min_cut(&g), 1);
+        assert_eq!(global_min_cut(&g), MinCut { weight: 1, side: vec![0] });
         let b = allreduce_rate_bound(&g).unwrap();
         assert_eq!(b.bound, Rational::ONE);
         assert_eq!(b.limiter(), RateLimiter::EdgeBudget); // tie reports the edge budget
@@ -285,19 +515,13 @@ mod tests {
         // Two K5s joined by TWO bridges: δ_min = 4 (every vertex sits in a
         // K5; the bridge endpoints have degree 5), |E|/(n−1) = 22/9 > 2,
         // but the min cut is the 2-edge waist. The degree-only bound
-        // min(22/9, 4) = 22/9 misses it; the rate bound finds 2.
-        let mut g = Graph::new(10);
-        for side in [0u32, 5] {
-            for u in side..side + 5 {
-                for v in u + 1..side + 5 {
-                    g.add_edge(u, v);
-                }
-            }
-        }
-        g.add_edge(0, 5);
-        g.add_edge(1, 6);
+        // min(22/9, 4) = 22/9 misses it; the rate bound finds 2, and its
+        // witness is one of the two K5s.
+        let g = lopsided_barbell();
         let b = allreduce_rate_bound(&g).unwrap();
         assert_eq!(b.min_cut, 2);
+        assert_eq!(b.cut.len(), 5);
+        assert_eq!(cut_weight(&g, &b.cut), 2);
         assert_eq!(b.min_degree, 4);
         assert_eq!(b.edge_budget, Rational::new(22, 9));
         assert_eq!(b.bound, Rational::from_int(2));
@@ -308,7 +532,7 @@ mod tests {
     #[test]
     fn min_cut_never_exceeds_the_min_degree() {
         // Every singleton cut is a cut, so λ ≤ δ_min on any graph — an
-        // independent sanity check on Stoer–Wagner.
+        // independent sanity check on the contraction.
         for g in [
             builders::cycle(7),
             builders::complete(9),
@@ -326,12 +550,22 @@ mod tests {
 
     #[test]
     fn closed_forms_match_the_generic_computation() {
-        for q in [3u64, 5, 7, 9] {
+        // Every paper radix, including the large ones the dense O(n³)
+        // min cut made too slow to test. ER_q has diameter 2, so
+        // λ = δ_min = q also follows from Plesník's theorem (diameter ≤ 2
+        // implies λ = δ_min) — a reason for the asserted value that is
+        // independent of the min-cut routine.
+        for q in [3u64, 5, 7, 9, 11, 13, 17, 19, 23, 31] {
             let optimum = crate::perf::optimal_bandwidth(q, Rational::ONE);
+            assert_eq!(optimum, Rational::new(q as i64 + 1, 2), "q={q}");
             let pf = pf_topo::PolarFly::new(q);
-            assert_eq!(allreduce_rate_bound(pf.graph()).unwrap().bound, optimum, "q={q}");
             let s = pf_topo::Singer::new(q);
-            assert_eq!(allreduce_rate_bound(s.graph()).unwrap().bound, optimum, "singer q={q}");
+            for (name, g) in [("polarfly", pf.graph()), ("singer", s.graph())] {
+                let b = allreduce_rate_bound(g).unwrap();
+                assert_eq!(b.bound, optimum, "{name} q={q}");
+                assert_eq!((b.min_cut, b.min_degree as u64), (q, q), "{name} q={q}");
+                assert_eq!(cut_weight(g, &b.cut), q, "{name} q={q}: witness");
+            }
         }
         for d in [1u32, 2, 3, 4, 5] {
             assert_eq!(
@@ -376,5 +610,61 @@ mod tests {
         let a = allreduce_rate_bound(&g).unwrap();
         let b = allreduce_rate_bound(&g).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn matches_the_dense_reference_on_the_catalog_and_fixtures() {
+        for sub in crate::substrates::full_catalog() {
+            assert_matches_reference(&sub.graph, &sub.name);
+        }
+        for half in [2u32, 3, 5, 8] {
+            assert_matches_reference(&crate::substrates::bridged_cliques(half), "bridged cliques");
+        }
+        assert_matches_reference(&lopsided_barbell(), "lopsided barbell");
+    }
+
+    #[test]
+    fn matches_the_dense_reference_on_seeded_random_graphs() {
+        // (n, extra edges): trees, sparse, medium and near-complete shapes.
+        for (n, extra) in [(12u32, 0u32), (20, 10), (30, 45), (24, 150), (40, 300)] {
+            for seed in 0..40u64 {
+                let g = crate::substrates::erdos_renyi_connected(n, extra, seed);
+                assert_matches_reference(&g, &format!("er n={n} extra={extra} seed={seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_dense_reference_on_polarfly_with_links_deleted() {
+        for q in [3u64, 5, 7, 9, 11] {
+            let pf = pf_topo::PolarFly::new(q);
+            let s = pf_topo::Singer::new(q);
+            for (name, g) in [("polarfly", pf.graph()), ("singer", s.graph())] {
+                assert_matches_reference(g, &format!("{name} q={q}"));
+                let mut rng = StdRng::seed_from_u64(q);
+                for _ in 0..4 {
+                    let links = [0, 1].map(|_| rng.random_range(0..g.num_edges()));
+                    let d = edge_deleted(g, &links);
+                    assert_matches_reference(&d.graph, &format!("{name} q={q} minus {links:?}"));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn random_connected_graphs_match_the_reference(
+            n in 2u32..32,
+            extra in 0u32..120,
+            seed in any::<u64>(),
+        ) {
+            let g = crate::substrates::erdos_renyi_connected(n, extra, seed);
+            let mc = global_min_cut(&g);
+            prop_assert_eq!(mc.weight, stoer_wagner(&g));
+            prop_assert!(!mc.side.is_empty() && mc.side.len() < n as usize);
+            prop_assert_eq!(cut_weight(&g, &mc.side), mc.weight);
+        }
     }
 }

@@ -5,6 +5,11 @@
 //! can mis-tie-break and the paper's exact claims ("aggregate bandwidth is
 //! exactly `q·B/2`") become approximate. A small normalized `i128` rational
 //! keeps the whole model exact.
+//!
+//! Exact means never silently wrong: `+ − × ÷` use checked `i128`
+//! operations and panic with [`OVERFLOW`] when a result does not fit, in
+//! release builds as well as debug ones (a wrapped `i128` would otherwise
+//! turn, say, the harmonic sum `Σ_{k≤100} 1/k ≈ 5.19` into `≈ 1.23`).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -22,12 +27,28 @@ pub struct Rational {
     den: i128,
 }
 
+/// The panic message of every `Rational` operation whose exact result does
+/// not fit in `i128` parts.
+pub const OVERFLOW: &str = "rational overflow";
+
+fn checked(x: Option<i128>) -> i128 {
+    x.expect(OVERFLOW)
+}
+
 fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
+        // 64-bit remainders are far cheaper than 128-bit ones: switch to
+        // them as soon as both operands fit.
+        if let (Ok(mut x), Ok(mut y)) = (u64::try_from(a), u64::try_from(b)) {
+            while y != 0 {
+                (x, y) = (y, x % y);
+            }
+            return x as i128;
+        }
         (a, b) = (b, a % b);
     }
-    a
+    a as i128
 }
 
 impl Rational {
@@ -37,12 +58,18 @@ impl Rational {
         Self::new_i128(num as i128, den as i128)
     }
 
-    /// Creates `num / den` from `i128` parts.
+    /// Creates `num / den` from `i128` parts. Panics on a zero
+    /// denominator, and with [`OVERFLOW`] if the normalized value does not
+    /// fit (only `i128::MIN` parts can cause that).
     pub fn new_i128(num: i128, den: i128) -> Self {
         assert!(den != 0, "zero denominator");
         let g = gcd(num, den).max(1);
-        let sign = if den < 0 { -1 } else { 1 };
-        Rational { num: sign * num / g, den: sign * den / g }
+        let (num, den) = if g == 1 { (num, den) } else { (num / g, den / g) };
+        if den < 0 {
+            Rational { num: checked(num.checked_neg()), den: checked(den.checked_neg()) }
+        } else {
+            Rational { num, den }
+        }
     }
 
     /// The integer `n`.
@@ -97,10 +124,49 @@ impl fmt::Display for Rational {
     }
 }
 
+// The four operations never wrap. When every part fits in `i64` (the
+// common case) the direct formula provably fits in `i128`: each product
+// stays below 2^126 in magnitude, so a sum of two stays below 2^127.
+// Otherwise the cold paths first cancel the operands' common factors
+// (which leaves every normalized result unchanged), then compute in
+// checked `i128` and panic with [`OVERFLOW`] if the result does not fit.
+
+/// `true` iff all four parts fit in `i64`.
+fn small(a: i128, b: i128, c: i128, d: i128) -> bool {
+    [a, b, c, d].iter().all(|&x| i64::try_from(x).is_ok())
+}
+
+/// `a/b + c/d` (`neg` subtracts instead) for normalized operands with a
+/// part outside `i64`.
+#[cold]
+fn wide_sum(a: i128, b: i128, c: i128, d: i128, neg: bool) -> Rational {
+    let g = gcd(b, d);
+    let (l, r) = (checked(a.checked_mul(d / g)), checked(c.checked_mul(b / g)));
+    let num = if neg { l.checked_sub(r) } else { l.checked_add(r) };
+    Rational::new_i128(checked(num), checked(b.checked_mul(d / g)))
+}
+
+/// `(a/b)·(c/d)` for normalized operands with a part outside `i64`.
+#[cold]
+fn wide_product(a: i128, b: i128, c: i128, d: i128) -> Rational {
+    // Both operands are normalized, so cross-cancelling is all the
+    // reduction the product needs.
+    let (g1, g2) = (gcd(a, d).max(1), gcd(c, b).max(1));
+    Rational::new_i128(
+        checked((a / g1).checked_mul(c / g2)),
+        checked((b / g2).checked_mul(d / g1)),
+    )
+}
+
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Rational) -> Rational {
-        Rational::new_i128(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
+        let (a, b, c, d) = (self.num, self.den, rhs.num, rhs.den);
+        if small(a, b, c, d) {
+            Rational::new_i128(a * d + c * b, b * d)
+        } else {
+            wide_sum(a, b, c, d, false)
+        }
     }
 }
 
@@ -113,7 +179,12 @@ impl AddAssign for Rational {
 impl Sub for Rational {
     type Output = Rational;
     fn sub(self, rhs: Rational) -> Rational {
-        Rational::new_i128(self.num * rhs.den - rhs.num * self.den, self.den * rhs.den)
+        let (a, b, c, d) = (self.num, self.den, rhs.num, rhs.den);
+        if small(a, b, c, d) {
+            Rational::new_i128(a * d - c * b, b * d)
+        } else {
+            wide_sum(a, b, c, d, true)
+        }
     }
 }
 
@@ -126,7 +197,12 @@ impl SubAssign for Rational {
 impl Mul for Rational {
     type Output = Rational;
     fn mul(self, rhs: Rational) -> Rational {
-        Rational::new_i128(self.num * rhs.num, self.den * rhs.den)
+        let (a, b, c, d) = (self.num, self.den, rhs.num, rhs.den);
+        if small(a, b, c, d) {
+            Rational::new_i128(a * c, b * d)
+        } else {
+            wide_product(a, b, c, d)
+        }
     }
 }
 
@@ -134,7 +210,13 @@ impl Div for Rational {
     type Output = Rational;
     fn div(self, rhs: Rational) -> Rational {
         assert!(rhs.num != 0, "division by zero rational");
-        Rational::new_i128(self.num * rhs.den, self.den * rhs.num)
+        // The reciprocal of a normalized value is normalized up to sign.
+        let recip = if rhs.num < 0 {
+            Rational { num: -rhs.den, den: checked(rhs.num.checked_neg()) }
+        } else {
+            Rational { num: rhs.den, den: rhs.num }
+        };
+        self * recip
     }
 }
 
@@ -250,6 +332,50 @@ mod tests {
         let bw: Vec<Rational> = (1..=64).map(|i| Rational::new(i, i + 1)).collect();
         let sizes = crate::perf::optimal_split(1 << 20, &bw);
         assert_eq!(sizes.iter().sum::<u64>(), 1 << 20);
+    }
+
+    /// `H_n = Σ_{k≤n} 1/k`.
+    fn harmonic(n: i64) -> Rational {
+        (1..=n).map(|k| Rational::new(1, k)).fold(Rational::ZERO, |a, b| a + b)
+    }
+
+    #[test]
+    fn harmonic_sum_to_40_is_exact() {
+        assert_eq!(harmonic(40), Rational::new(2_078_178_381_193_813, 485_721_041_551_200));
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn harmonic_sum_to_100_overflows_loudly() {
+        // The denominator of H_100 is ≈ 2.8e39 > i128::MAX: the sum cannot
+        // be represented, so it must panic in every profile rather than
+        // wrap to a wrong value.
+        let _ = harmonic(100);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn products_overflow_loudly() {
+        let _ = Rational::new_i128(1 << 120, 1) * Rational::new_i128(1 << 10, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn quotients_overflow_loudly() {
+        let _ = Rational::new_i128(3, 1 << 120) / Rational::new_i128(1 << 10, 7);
+    }
+
+    #[test]
+    fn reduction_keeps_wide_operands_in_range() {
+        // Cross-cancelling before multiplying: the unreduced products
+        // would exceed i128, the results do not.
+        let a = Rational::new_i128(1 << 100, 3);
+        let b = Rational::new_i128(3, 1 << 100);
+        assert_eq!(a * b, Rational::ONE);
+        assert_eq!(a / a, Rational::ONE);
+        let c = Rational::new_i128(1, 1 << 100);
+        assert_eq!(c + c, Rational::new_i128(1, 1 << 99));
+        assert_eq!(c - c, Rational::ZERO);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   load `Σ B_i ≤ 1` and every tree saturates some link;
 //! * **rate bound**: the aggregate respects the exact rate bound
 //!   `min(|E|/(n−1), λ(G))` (`pf_allreduce::rate`, docs/RATES.md), the
-//!   min cut never exceeds the minimum degree (an independent check on
-//!   Stoer–Wagner), and on substrate families with a published closed
-//!   form the generic computation reproduces it exactly;
+//!   min cut never exceeds the minimum degree, its witness side is a
+//!   non-empty proper subset whose independently recounted cut weight is
+//!   the min cut and caps the aggregate, and on substrate families with a
+//!   published closed form the generic computation reproduces it exactly;
 //! * **budget & determinism**: tree caps are honored and rebuilding is
 //!   byte-identical.
 //!
@@ -28,7 +29,7 @@
 use pf_allreduce::congestion::assign_unit_bandwidth;
 use pf_allreduce::plan::AllreducePlan;
 use pf_allreduce::rational::Rational;
-use pf_allreduce::rate::{allreduce_rate_bound, RateError};
+use pf_allreduce::rate::{allreduce_rate_bound, cut_weight, RateError};
 use pf_allreduce::recovery::{rebuild_degraded, FaultSet};
 use pf_allreduce::substrates::{
     backends_for, bridged_cliques, closed_form_rate_bound, erdos_renyi_connected, full_catalog,
@@ -113,14 +114,27 @@ fn check_pair(b: &dyn TreeConstruction, sub: &Substrate) -> bool {
     }
 
     // The exact rate bound (edge budget ∧ global min cut) must hold, its
-    // min cut must sit at or below δ_min, and it must agree with the
-    // family's closed form where one is known.
+    // min cut must sit at or below δ_min, its witness cut must be a proper
+    // vertex subset whose independently counted weight is the min cut and
+    // caps the aggregate, and it must agree with the family's closed form
+    // where one is known.
     let rate = allreduce_rate_bound(g).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     assert!(
         rate.certifies(a.aggregate()),
         "{ctx}: aggregate {} beats the rate bound {}",
         a.aggregate(),
         rate.bound
+    );
+    assert!(
+        !rate.cut.is_empty() && rate.cut.len() < g.num_vertices() as usize,
+        "{ctx}: witness cut side is not a non-empty proper subset"
+    );
+    let witness = cut_weight(g, &rate.cut);
+    assert_eq!(witness, rate.min_cut, "{ctx}: witness cut weight differs from the min cut");
+    assert!(
+        a.aggregate() <= Rational::from_int(witness as i64),
+        "{ctx}: aggregate {} beats the witness cut {witness}",
+        a.aggregate()
     );
     assert!(
         rate.min_cut <= rate.min_degree as u64,

@@ -430,11 +430,14 @@ fn every_construction_respects_the_exact_rate_bound() {
     // is capped by the exact rate upper bound min(|E|/(n−1), λ(G)) — the
     // edge-budget argument meets the cut-set argument (every spanning
     // tree crosses every cut, so Σ B_i ≤ |∂S| for all S, hence ≤ the
-    // global min cut, which never exceeds δ_min). All comparisons in
-    // exact rationals. The nightly full-catalog sweep runs the same clause
-    // over all paper radices via the tree harness.
+    // global min cut, which never exceeds δ_min). The min cut comes with
+    // its witness side S, whose crossing edges are recounted independently
+    // of the min-cut routine, so `aggregate ≤ |∂S|` holds without trusting
+    // it. All comparisons in exact rationals. The nightly full-catalog
+    // sweep runs the same clause over all paper radices via the tree
+    // harness.
     use pf_allreduce::plan::AllreducePlan;
-    use pf_allreduce::rate::allreduce_rate_bound;
+    use pf_allreduce::rate::{allreduce_rate_bound, cut_weight};
     use pf_allreduce::substrates::{backends_for, closed_form_rate_bound, quick_catalog};
     use pf_allreduce::{Budget, ConstructError};
 
@@ -445,6 +448,13 @@ fn every_construction_respects_the_exact_rate_bound() {
             assert_eq!(rate.bound, closed, "{}: closed form disagrees", sub.name);
         }
         assert!(rate.min_cut <= rate.min_degree as u64, "{}: min cut above δ_min", sub.name);
+        assert!(
+            !rate.cut.is_empty() && rate.cut.len() < sub.graph.num_vertices() as usize,
+            "{}: witness side is not a non-empty proper subset",
+            sub.name
+        );
+        let witness = cut_weight(&sub.graph, &rate.cut);
+        assert_eq!(witness, rate.min_cut, "{}: witness cut weight", sub.name);
         for backend in backends_for(&sub.name) {
             let plan =
                 match AllreducePlan::construct(&sub.graph, backend.as_ref(), &Budget::unlimited())
@@ -460,6 +470,12 @@ fn every_construction_respects_the_exact_rate_bound() {
                 sub.name,
                 plan.aggregate,
                 rate.bound
+            );
+            assert!(
+                plan.aggregate <= Rational::from_int(witness as i64),
+                "{} on {}: aggregate beats the witness cut",
+                backend.name(),
+                sub.name
             );
             assert_eq!(plan.rate_bound(), rate.bound, "{}", sub.name);
             let gap = plan.optimality_gap();
@@ -492,6 +508,15 @@ fn polarfly_rate_bound_is_the_corollary_7_1_optimum_and_disjoint_plans_reach_it(
         // The low-depth plans price at q/2 against (q+1)/2: gap q/(q+1).
         let low = AllreducePlan::low_depth(q).unwrap();
         assert_eq!(low.optimality_gap(), Rational::new(q as i64, q as i64 + 1), "q={q}");
+    }
+    // The large paper radices: the bound is still (q+1)/2 and λ = δ_min = q
+    // — which Plesník's theorem (diameter ≤ 2 implies λ = δ_min) also
+    // gives independently, since ER_q has diameter 2.
+    for q in [13u64, 17, 19, 23, 31] {
+        let pf = PolarFly::new(q);
+        let rate = allreduce_rate_bound(pf.graph()).unwrap();
+        assert_eq!(rate.bound, Rational::new(q as i64 + 1, 2), "q={q}");
+        assert_eq!((rate.min_cut, rate.min_degree as u64), (q, q), "q={q}");
     }
 }
 
