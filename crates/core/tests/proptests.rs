@@ -155,3 +155,99 @@ proptest! {
         }
     }
 }
+
+/// The exact sum of positive fractions `n/d` over a common denominator,
+/// reduced: `None` when a part leaves `u128`.
+fn u128_sum(terms: &[(u64, u64)]) -> Option<(u128, u128)> {
+    fn gcd(mut a: u128, mut b: u128) -> u128 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
+    let mut den = 1u128;
+    for &(_, d) in terms {
+        den = den.checked_mul(u128::from(d) / gcd(den, u128::from(d)))?;
+    }
+    let mut num = 0u128;
+    for &(n, d) in terms {
+        num = num.checked_add(u128::from(n).checked_mul(den / u128::from(d))?)?;
+    }
+    let g = gcd(num, den);
+    Some((num / g, den / g))
+}
+
+/// `Σ n/d` in `Rational`, left to right, or the panic message.
+fn rational_sum(terms: &[(u64, u64)]) -> Result<Rational, String> {
+    std::panic::catch_unwind(|| {
+        terms.iter().fold(Rational::ZERO, |acc, &(n, d)| acc + Rational::new(n as i64, d as i64))
+    })
+    .map_err(|e| {
+        e.downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| e.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    })
+}
+
+fn is_prime(p: u64) -> bool {
+    p >= 2 && (2..).take_while(|k| k * k <= p).all(|k| !p.is_multiple_of(k))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Tree-bandwidth shares of a PolarFly plan (up to `q + 1` trees, each
+    /// share `n/d` with `d` up to twice the tree count) sum exactly: the
+    /// partial sums' denominators pass `i64` (the checked wide path), and
+    /// the result is the `u128` reference, in either summation order.
+    #[test]
+    fn rational_share_sums_match_the_u128_reference(q in 3u64..32, seed in any::<u64>()) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let terms: Vec<(u64, u64)> = (0..=q)
+            .map(|_| {
+                let d = rng.random_range(1..2 * (q + 1) + 1);
+                (rng.random_range(1..d + 1), d)
+            })
+            .collect();
+        let (num, den) = u128_sum(&terms).expect("shares at q ≤ 31 fit u128");
+        let want = Rational::new_i128(num as i128, den as i128);
+        prop_assert_eq!(rational_sum(&terms), Ok(want));
+        let reversed: Vec<(u64, u64)> = terms.iter().rev().copied().collect();
+        prop_assert_eq!(rational_sum(&reversed), Ok(want));
+    }
+
+    /// Sums over distinct large prime denominators have the product of the
+    /// primes as their exact denominator. Wherever that value fits `i128`
+    /// the sum is exact; past it the sum panics with `rational::OVERFLOW`.
+    /// It never returns a wrapped value.
+    #[test]
+    fn rational_sums_past_i128_panic_with_overflow(k in 2usize..8, seed in any::<u64>()) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut primes: Vec<u64> = Vec::new();
+        while primes.len() < k {
+            let p = rng.random_range((1u64 << 24)..(1u64 << 31)) | 1;
+            if is_prime(p) && !primes.contains(&p) {
+                primes.push(p);
+            }
+        }
+        let terms: Vec<(u64, u64)> =
+            primes.iter().map(|&p| (rng.random_range(1..p), p)).collect();
+        let fits = u128_sum(&terms)
+            .filter(|&(n, d)| n <= i128::MAX as u128 && d <= i128::MAX as u128);
+        match fits {
+            Some((n, d)) => {
+                let got = rational_sum(&terms);
+                prop_assert_eq!(got, Ok(Rational::new_i128(n as i128, d as i128)));
+            }
+            None => {
+                prop_assert_eq!(
+                    rational_sum(&terms),
+                    Err(pf_allreduce::rational::OVERFLOW.to_string())
+                );
+            }
+        }
+    }
+}

@@ -21,9 +21,18 @@
 //! wall clock, no hasher randomness — two runs with the same stream make
 //! identical cache decisions, which the byte-identical-report guarantee
 //! depends on.
+//!
+//! Beside the plan cache sits one [`WaveSlot`]: the compiled engine of
+//! the last wave (its `WaveProgram` and the `EngineArena` it ran in),
+//! keyed by the current plan's key plus the wave's flattened tree
+//! indices. Consecutive waves over the same tree list — nearly every wave
+//! of a stream of small jobs — run it again instead of re-embedding and
+//! re-wiring the trees. The manager clears the slot whenever its current
+//! plan changes.
 
 use pf_allreduce::AllreducePlan;
 use pf_sched::PlanProvider;
+use pf_simnet::{EngineArena, WaveProgram};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -136,26 +145,85 @@ impl PlanCache {
     }
 }
 
+/// The one compiled wave a fabric keeps (see module docs). No capacity:
+/// a wave over a different tree list replaces it.
+#[derive(Debug, Default)]
+pub struct WaveSlot {
+    kept: Option<(CacheKey, WaveProgram, EngineArena)>,
+    compiled: u64,
+    reused: u64,
+}
+
+impl WaveSlot {
+    /// The kept wave if its key is `key`, else the wave `compile` builds
+    /// (which replaces the kept one).
+    fn get(
+        &mut self,
+        key: CacheKey,
+        compile: &mut dyn FnMut() -> WaveProgram,
+    ) -> (&WaveProgram, &mut EngineArena) {
+        if self.kept.as_ref().is_some_and(|(k, _, _)| *k == key) {
+            self.reused += 1;
+        } else {
+            // Drop the old wave first: two programs are never alive at once.
+            self.kept = None;
+            self.kept = Some((key, compile(), EngineArena::default()));
+            self.compiled += 1;
+        }
+        let (_, prog, arena) = self.kept.as_mut().expect("filled above");
+        (prog, arena)
+    }
+
+    /// Drops the kept wave (the counters stay).
+    pub(crate) fn clear(&mut self) {
+        self.kept = None;
+    }
+
+    /// Waves compiled and waves that reused the kept one, since
+    /// construction.
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        (self.compiled, self.reused)
+    }
+}
+
 /// A [`PlanProvider`] that routes the scheduler's subset requests through
-/// the cache under a fixed *(topology, faults)* prefix — the manager
-/// rebuilds one of these per epoch with the current fault fingerprint.
+/// the cache, and its compiled waves through the slot, under a fixed
+/// *(topology, faults)* prefix — the manager rebuilds one of these per
+/// epoch with the current fault fingerprint.
 pub struct CachingProvider<'c> {
     /// The shared cache.
     pub cache: &'c mut PlanCache,
+    /// The compiled-wave slot.
+    pub slot: &'c mut WaveSlot,
     /// Healthy-topology fingerprint.
     pub topology: u64,
     /// Active fault-set fingerprint.
     pub faults: u64,
 }
 
-impl PlanProvider for CachingProvider<'_> {
-    fn subset(&mut self, plan: &AllreducePlan, indices: &[usize]) -> Arc<AllreducePlan> {
-        let key = CacheKey {
+impl CachingProvider<'_> {
+    fn key(&self, trees: &[usize]) -> CacheKey {
+        CacheKey {
             topology: self.topology,
             faults: self.faults,
-            trees: indices.iter().map(|&i| i as u32).collect(),
-        };
+            trees: trees.iter().map(|&i| i as u32).collect(),
+        }
+    }
+}
+
+impl PlanProvider for CachingProvider<'_> {
+    fn subset(&mut self, plan: &AllreducePlan, indices: &[usize]) -> Arc<AllreducePlan> {
+        let key = self.key(indices);
         self.cache.get_or_insert_with(key, || Arc::new(plan.tree_subset(indices)))
+    }
+
+    fn compiled_wave(
+        &mut self,
+        trees: &[usize],
+        compile: &mut dyn FnMut() -> WaveProgram,
+    ) -> Option<(&WaveProgram, &mut EngineArena)> {
+        let key = self.key(trees);
+        Some(self.slot.get(key, compile))
     }
 }
 
@@ -198,7 +266,9 @@ mod tests {
     fn provider_matches_cold_construction() {
         let plan = AllreducePlan::low_depth(5).unwrap();
         let mut cache = PlanCache::new(8);
-        let mut p = CachingProvider { cache: &mut cache, topology: 7, faults: 0 };
+        let mut slot = WaveSlot::default();
+        let mut p =
+            CachingProvider { cache: &mut cache, slot: &mut slot, topology: 7, faults: 0 };
         use pf_sched::PlanProvider as _;
         let cached = p.subset(&plan, &[1, 3]);
         let cold = plan.tree_subset(&[1, 3]);

@@ -16,8 +16,9 @@
 //!   [`pf_sched::Scheduler::run_epoch`], fault/heal handling, flat-memory
 //!   aggregates (counters, log2 latency histogram, rolling digest).
 //! * [`cache`] — the plan cache keyed by *(topology fingerprint,
-//!   fault fingerprint, tree subset)* and the [`pf_sched::PlanProvider`]
-//!   adapter that routes scheduler subset requests through it.
+//!   fault fingerprint, tree subset)*, the one-wave slot of compiled
+//!   engine programs, and the [`pf_sched::PlanProvider`] adapter that
+//!   routes scheduler subset requests and waves through them.
 //! * [`events`] — seeded virtual-time event sources ([`PoissonJobs`])
 //!   and the [`FabricEvent`] trace vocabulary.
 //! * [`checkpoint`] — versioned `pf-fabric-ckpt-v1` checkpoint/restore;
@@ -34,7 +35,7 @@ pub mod checkpoint;
 pub mod events;
 pub mod manager;
 
-pub use cache::{CacheKey, CacheStats, CachingProvider, PlanCache};
+pub use cache::{CacheKey, CacheStats, CachingProvider, PlanCache, WaveSlot};
 pub use checkpoint::{CheckpointError, CHECKPOINT_MAGIC};
 pub use events::{FabricEvent, PoissonJobs};
 pub use manager::{Admission, FabricConfig, FabricManager, FabricReport, LATENCY_BUCKETS};

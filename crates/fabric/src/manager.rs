@@ -38,7 +38,7 @@
 //! produces the *same digest* as handing the batch to
 //! [`Scheduler::run`] directly (property-tested).
 
-use crate::cache::{CacheKey, CacheStats, CachingProvider, PlanCache};
+use crate::cache::{CacheKey, CacheStats, CachingProvider, PlanCache, WaveSlot};
 use crate::events::FabricEvent;
 use pf_allreduce::fingerprint::FNV_OFFSET;
 use pf_allreduce::recovery::{extend_degraded, rebuild_degraded, DegradedPlan, RebuildError};
@@ -166,6 +166,9 @@ pub struct FabricManager {
     /// The degraded-plan state `extend_degraded` patches.
     pub(crate) degraded: Option<DegradedPlan>,
     pub(crate) cache: PlanCache,
+    /// The last wave's compiled engine, valid for `current` only: every
+    /// change of `current` clears it.
+    pub(crate) slot: WaveSlot,
 
     /// Virtual now: the fabric is idle at `now` between calls.
     pub(crate) now: u64,
@@ -226,6 +229,7 @@ impl FabricManager {
             faults: FaultSet::none(),
             degraded: None,
             cache: PlanCache::new(cfg.cache_capacity),
+            slot: WaveSlot::default(),
             now: 0,
             last_event: 0,
             ready: VecDeque::new(),
@@ -274,6 +278,15 @@ impl FabricManager {
     #[must_use]
     pub fn faults(&self) -> &FaultSet {
         &self.faults
+    }
+
+    /// `(compiled, reused)`: waves that compiled an engine program, and
+    /// waves that ran the one the previous wave kept (same plan, same
+    /// tree list). Host-side bookkeeping like the cache's memory, so it is
+    /// in neither the [`FabricReport`], its digest nor the checkpoint.
+    #[must_use]
+    pub fn engine_reuse(&self) -> (u64, u64) {
+        self.slot.counts()
     }
 
     /// Submits one job at `spec.arrival`. Events must be fed in
@@ -344,6 +357,9 @@ impl FabricManager {
         if delta.edges.is_empty() {
             return Ok(());
         }
+        // The current plan is about to change. Drop the compiled wave now,
+        // so it does not sit in memory beside the rebuild's working set.
+        self.slot.clear();
         let combined = self.faults.union(&delta);
         let (next, incremental) = match &self.degraded {
             Some(prev) => match extend_degraded(&self.healthy, &self.faults, prev, &delta) {
@@ -387,6 +403,7 @@ impl FabricManager {
         self.fault_fp = self.faults.fingerprint();
         self.degraded = None;
         self.current = Arc::clone(&self.healthy);
+        self.slot.clear();
     }
 
     /// Runs every queued job to completion and returns the report. The
@@ -492,6 +509,7 @@ impl FabricManager {
         let sched = Scheduler::new(&plan, self.cfg.sched);
         let mut provider = CachingProvider {
             cache: &mut self.cache,
+            slot: &mut self.slot,
             topology: self.topology_fp,
             faults: self.fault_fp,
         };

@@ -10,7 +10,7 @@
 
 use pf_allreduce::recovery::rebuild_degraded;
 use pf_allreduce::{plan_fingerprint, AllreducePlan, FaultSet};
-use pf_fabric::{CachingProvider, FabricConfig, FabricManager, PlanCache};
+use pf_fabric::{CachingProvider, FabricConfig, FabricManager, PlanCache, WaveSlot};
 use pf_sched::{JobSpec, PlanProvider};
 use proptest::prelude::*;
 
@@ -40,7 +40,9 @@ proptest! {
         let plan = AllreducePlan::low_depth(q).expect("odd prime power");
         let trees = plan.trees.len();
         let mut cache = PlanCache::new(capacity);
-        let mut provider = CachingProvider { cache: &mut cache, topology: 1, faults: 0 };
+        let mut slot = WaveSlot::default();
+        let mut provider =
+            CachingProvider { cache: &mut cache, slot: &mut slot, topology: 1, faults: 0 };
         for mut set in lookups {
             set.sort_unstable();
             set.dedup();

@@ -136,3 +136,68 @@ fn events_quiesce_at_epoch_boundaries() {
     // Job 1's start cannot precede the epoch boundary it waited for.
     assert!(rep.makespan > after_first);
 }
+
+/// A stream of small jobs on a q=7 low-depth fabric, with a link fault a
+/// third of the way in and a heal at two thirds. Nearly every wave runs
+/// one job on the whole tree set, so the manager's kept engine program
+/// serves nearly every wave; each plan change drops it, so the first wave
+/// after one compiles. A manager restored from a checkpoint mid-stream
+/// (it starts with no kept program) ends with the same digest.
+#[test]
+fn stream_reuses_the_compiled_wave_between_plan_changes() {
+    let plan = AllreducePlan::low_depth(7).expect("q=7");
+    let cfg = FabricConfig::default();
+    let jobs: Vec<JobSpec> = PoissonJobs::new(0x5EED, 200, 16, 64).take(300).collect();
+    let (fault_at, heal_at) = (jobs[100].arrival, jobs[200].arrival);
+    let edge = plan.trees[0].edge_ids(&plan.graph)[0];
+
+    let mut a = FabricManager::new(plan.clone(), cfg.clone());
+    let mut restored: Option<FabricManager> = None;
+    // Engine counts at the last plan change, until a wave has run since.
+    let mut changed_at: Option<(u64, u64)> = None;
+    for (i, spec) in jobs.iter().enumerate() {
+        if i == 100 {
+            a.inject_link_faults(fault_at, &[edge]).expect("one fault keeps q=7 connected");
+            changed_at = Some(a.engine_reuse());
+        }
+        if i == 150 {
+            let text = a.checkpoint();
+            restored = Some(FabricManager::restore(plan.clone(), cfg.clone(), &text).unwrap());
+        }
+        if i == 200 {
+            a.heal(heal_at);
+            changed_at = Some(a.engine_reuse());
+        }
+        a.submit(spec.clone());
+        if let Some(b) = restored.as_mut().filter(|_| i >= 150) {
+            if i == 200 {
+                b.heal(heal_at);
+            }
+            b.submit(spec.clone());
+        }
+        if let Some((c0, r0)) = changed_at {
+            let (c, r) = a.engine_reuse();
+            if c + r > c0 + r0 {
+                assert!(c > c0, "the first wave after a plan change must compile (job {i})");
+                changed_at = None;
+            }
+        }
+    }
+    let ra = a.drain();
+    let (compiled, reused) = a.engine_reuse();
+    assert_eq!(ra.completed, 300);
+    assert_eq!(ra.mismatches, 0);
+    assert_eq!(compiled + reused, ra.waves, "every wave compiles or reuses");
+    assert!(compiled >= 3, "the initial plan, the fault and the heal each compile");
+    assert!(
+        reused * 10 >= ra.waves * 9,
+        "only {reused} of {} waves reused the kept program",
+        ra.waves
+    );
+
+    let mut b = restored.expect("checkpointed mid-stream");
+    let mut rb = b.drain();
+    assert!(b.engine_reuse().0 >= 2, "the restored manager compiles its own waves");
+    rb.cache = ra.cache;
+    assert_eq!(rb, ra, "the restored manager must reach the same report");
+}

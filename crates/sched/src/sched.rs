@@ -16,8 +16,9 @@ use pf_allreduce::fingerprint::{fnv1a_u64, FNV_OFFSET};
 use pf_allreduce::AllreducePlan;
 use pf_graph::RootedTree;
 use pf_simnet::{
-    run_collective_with_recovery, Collective, FaultSchedule, JobBinding, JobSegment, JobTraceRow,
-    SimConfig, Simulator, TraceConfig, TraceReport, Workload,
+    run_collective_with_recovery, Collective, EngineArena, FaultSchedule, JobBinding, JobSegment,
+    JobTraceRow, MultiTreeEmbedding, SimConfig, Simulator, TraceConfig, TraceReport, WaveProgram,
+    Workload,
 };
 
 use crate::alloc::TreeAllocator;
@@ -443,15 +444,29 @@ impl<'a> Scheduler<'a> {
         wave_job_ids.sort_unstable();
 
         while !to_run.is_empty() {
-            let (emb_trees, sizes, offsets, bindings) =
-                self.wave_embedding(specs, global_off, &to_run, plans);
-            let emb = pf_simnet::MultiTreeEmbedding::with_offsets(
-                &self.plan.graph,
-                &emb_trees,
-                &sizes,
-                &offsets,
-            );
-            let mut sim = Simulator::new(&self.plan.graph, &emb, cfg.sim).with_trace(cfg.trace);
+            let (wave_trees, sizes, offsets, bindings) =
+                self.wave_layout(specs, global_off, &to_run, plans);
+            let mut compile = || {
+                let trees: Vec<RootedTree> =
+                    wave_trees.iter().map(|&t| self.plan.trees[t].clone()).collect();
+                WaveProgram::compile(&MultiTreeEmbedding::with_offsets(
+                    &self.plan.graph,
+                    &trees,
+                    &sizes,
+                    &offsets,
+                ))
+            };
+            let mut cold = None;
+            let (prog, arena) = match plans.compiled_wave(&wave_trees, &mut compile) {
+                Some(kept) => kept,
+                None => {
+                    let (prog, arena) = cold.insert((compile(), EngineArena::default()));
+                    (&*prog, arena)
+                }
+            };
+            let mut sim =
+                Simulator::compiled(&self.plan.graph, prog, arena, &sizes, &offsets, cfg.sim)
+                    .with_trace(cfg.trace);
             if let Some(ws) = &wsched {
                 sim = sim.with_faults(&self.plan.graph, ws.clone());
             }
@@ -549,39 +564,39 @@ impl<'a> Scheduler<'a> {
         Ok(wave_cycles)
     }
 
-    /// Builds the concatenated embedding inputs for one engine run over
-    /// `to_run`: each job's subset plan splits its vector across its
-    /// trees, and the slices address the job's own global element range
-    /// (so a job re-run solo reduces exactly the same elements).
-    fn wave_embedding(
+    /// Lays out one engine run over `to_run`: the full-plan tree indices
+    /// the wave embeds, in order, and each tree's slice. Each job's subset
+    /// plan splits its vector across its trees (the subset's trees are the
+    /// full plan's, in index order), and the slices address the job's own
+    /// global element range (so a job re-run solo reduces exactly the
+    /// same elements).
+    fn wave_layout(
         &self,
         specs: &[JobSpec],
         global_off: &[u64],
         to_run: &[&AdmittedJob],
         plans: &mut dyn PlanProvider,
-    ) -> (Vec<RootedTree>, Vec<u64>, Vec<u64>, Vec<JobBinding>) {
-        let mut emb_trees = Vec::new();
+    ) -> (Vec<usize>, Vec<u64>, Vec<u64>, Vec<JobBinding>) {
+        let mut wave_trees = Vec::new();
         let mut sizes = Vec::new();
         let mut offsets = Vec::new();
         let mut bindings = Vec::new();
-        let mut tstart = 0usize;
         for adm in to_run {
             let sub = plans.subset(self.plan, &adm.trees);
             let split = sub.split(specs[adm.idx].elems);
             let mut off = global_off[adm.idx];
-            for (t, &len) in sub.trees.iter().zip(&split) {
-                emb_trees.push(t.clone());
+            for &len in &split {
                 sizes.push(len);
                 offsets.push(off);
                 off += len;
             }
             bindings.push(JobBinding {
-                trees: tstart..tstart + adm.trees.len(),
+                trees: wave_trees.len()..wave_trees.len() + adm.trees.len(),
                 release: adm.release,
             });
-            tstart += adm.trees.len();
+            wave_trees.extend_from_slice(&adm.trees);
         }
-        (emb_trees, sizes, offsets, bindings)
+        (wave_trees, sizes, offsets, bindings)
     }
 
     /// Does any of the job's trees use one of the detected edges?

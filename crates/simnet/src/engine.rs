@@ -54,7 +54,10 @@
 //! happens" to "skip when the same thing happens every cycle".
 //!
 //! All queue state lives in flat, pre-sized ring-buffer arenas — the steady
-//! state allocates nothing. The pre-optimization stepper is retained as
+//! state allocates nothing. The tree-only wiring is compiled once into a
+//! [`WaveProgram`] and the arenas live in an [`EngineArena`] that later
+//! runs reset instead of reallocating (see [`mod@program`]); the slice
+//! layout stays per run. The pre-optimization stepper is retained as
 //! [`mod@reference`] (behind `cfg(test)` / the `reference-engine` feature) and a
 //! differential suite (`src/difftest.rs`) asserts byte-identical
 //! [`SimReport`]s, trace bytes and [`FaultReport`]s across collectives,
@@ -62,14 +65,19 @@
 //! stepping (no skip, full scans) so observed stall attribution is identical
 //! to the reference stepper's.
 
-use crate::embedding::{MultiTreeEmbedding, Phase};
+use crate::embedding::MultiTreeEmbedding;
 use crate::faults::{FaultReport, FaultSchedule, FaultState};
 use crate::trace::{EngineStall, TraceConfig, TraceReport, Tracer};
 use crate::workload::Workload;
 use pf_graph::Graph;
+use program::{ring, scratch, zeroed};
+use std::borrow::Cow;
 
+pub mod program;
 #[cfg(any(test, feature = "reference-engine"))]
 pub mod reference;
+
+pub use program::{EngineArena, WaveProgram};
 
 /// Simulator knobs.
 #[derive(Debug, Clone, Copy)]
@@ -304,23 +312,90 @@ pub struct FaultedRun {
     pub faults: FaultReport,
 }
 
-/// The cycle-level simulator. Construct once per embedding, then
-/// [`Simulator::run`].
+/// The cycle-level simulator. Construct once per run — from an embedding
+/// ([`Simulator::new`]) or from a program the caller kept
+/// ([`Simulator::compiled`]) — then [`Simulator::run`].
 pub struct Simulator<'a> {
-    emb: &'a MultiTreeEmbedding,
+    prog: Cow<'a, WaveProgram>,
+    /// `None`: the run gets a fresh arena.
+    arena: Option<&'a mut EngineArena>,
+    sizes: Cow<'a, [u64]>,
+    offsets: Cow<'a, [u64]>,
     cfg: SimConfig,
     tracer: Option<Tracer>,
     faults: Option<FaultState>,
+    /// The embedding the reference stepper executes.
+    #[cfg_attr(not(any(test, feature = "reference-engine")), allow(dead_code))]
+    emb: Option<&'a MultiTreeEmbedding>,
 }
 
 impl<'a> Simulator<'a> {
-    /// Wires up the engines for an embedding. `g` must be the graph the
-    /// embedding was built from (used only for assertions).
+    /// Wires up the engines for an embedding: compiles it
+    /// ([`WaveProgram::compile`]) and runs with its slice layout in a
+    /// fresh [`EngineArena`]. `g` must be the graph the embedding was
+    /// built from (used only for assertions).
     pub fn new(g: &Graph, emb: &'a MultiTreeEmbedding, cfg: SimConfig) -> Self {
+        Simulator {
+            emb: Some(emb),
+            ..Self::with_parts(
+                g,
+                Cow::Owned(WaveProgram::compile(emb)),
+                None,
+                Cow::Owned(emb.trees.iter().map(|t| t.len).collect()),
+                Cow::Owned(emb.trees.iter().map(|t| t.offset).collect()),
+                cfg,
+            )
+        }
+    }
+
+    /// Runs a compiled program in `arena`, with tree `t`'s slice of
+    /// `sizes[t]` elements at global offset `offsets[t]` (the layout
+    /// [`MultiTreeEmbedding::with_offsets`] takes). The report is
+    /// byte-identical to [`Simulator::new`] on the embedding the program
+    /// was compiled from, laid out the same way, whatever the arena ran
+    /// before. `g` must be the graph the program's embedding was built
+    /// from.
+    pub fn compiled(
+        g: &Graph,
+        prog: &'a WaveProgram,
+        arena: &'a mut EngineArena,
+        sizes: &'a [u64],
+        offsets: &'a [u64],
+        cfg: SimConfig,
+    ) -> Self {
+        assert_eq!(prog.ntrees, sizes.len(), "one slice size per tree");
+        assert_eq!(prog.ntrees, offsets.len(), "one slice offset per tree");
+        Self::with_parts(
+            g,
+            Cow::Borrowed(prog),
+            Some(arena),
+            Cow::Borrowed(sizes),
+            Cow::Borrowed(offsets),
+            cfg,
+        )
+    }
+
+    fn with_parts(
+        g: &Graph,
+        prog: Cow<'a, WaveProgram>,
+        arena: Option<&'a mut EngineArena>,
+        sizes: Cow<'a, [u64]>,
+        offsets: Cow<'a, [u64]>,
+        cfg: SimConfig,
+    ) -> Self {
         assert!(cfg.link_latency >= 1, "links need at least one cycle of latency");
         assert!(cfg.vc_buffer >= 1 && cfg.source_queue >= 1, "queues must hold at least one flit");
-        assert_eq!(g.num_vertices(), emb.num_nodes);
-        Simulator { emb, cfg, tracer: None, faults: None }
+        assert_eq!(g.num_vertices() as usize, prog.n);
+        Simulator {
+            prog,
+            arena,
+            sizes,
+            offsets,
+            cfg,
+            tracer: None,
+            faults: None,
+            emb: None,
+        }
     }
 
     /// Enables observability per `tcfg` (see [`crate::trace`]). With
@@ -329,12 +404,7 @@ impl<'a> Simulator<'a> {
     /// (no idle-cycle skipping) so stall attribution is exact.
     pub fn with_trace(mut self, tcfg: TraceConfig) -> Self {
         self.tracer = tcfg.enabled.then(|| {
-            Tracer::new(
-                self.emb.streams.len(),
-                self.emb.channel_streams.len(),
-                self.emb.num_nodes as usize,
-                tcfg,
-            )
+            Tracer::new(self.prog.streams.len(), self.prog.num_channels(), self.prog.n, tcfg)
         });
         self
     }
@@ -345,8 +415,8 @@ impl<'a> Simulator<'a> {
     /// decision is identical to a run without it (property-tested, like
     /// tracing).
     pub fn with_faults(mut self, g: &Graph, schedule: FaultSchedule) -> Self {
-        assert_eq!(g.num_vertices(), self.emb.num_nodes);
-        self.faults = Some(FaultState::new(g, self.emb, &schedule));
+        assert_eq!(g.num_vertices() as usize, self.prog.n);
+        self.faults = Some(FaultState::new(g, &self.prog, &schedule));
         self
     }
 
@@ -422,7 +492,7 @@ impl<'a> Simulator<'a> {
         kind: Collective,
     ) -> JobsRun {
         assert!(!bindings.is_empty(), "at least one job binding");
-        let ntrees = self.emb.trees.len();
+        let ntrees = self.prog.ntrees;
         let mut next = 0usize;
         for b in bindings {
             assert!(
@@ -477,14 +547,15 @@ impl<'a> Simulator<'a> {
         kind: Collective,
         bindings: Option<&[JobBinding]>,
     ) -> (SimReport, Option<TraceReport>, Option<FaultReport>, Vec<JobOutcome>) {
-        assert_eq!(w.nodes(), self.emb.num_nodes);
-        assert!(
-            w.len() >= self.emb.elem_end(),
-            "workload must cover every tree slice's global element range"
-        );
+        let Simulator { prog, arena, sizes, offsets, cfg, mut tracer, mut faults, .. } = self;
+        assert_eq!(w.nodes() as usize, prog.n);
+        let elem_end = sizes.iter().zip(offsets.iter()).map(|(l, o)| o + l).max().unwrap_or(0);
+        assert!(w.len() >= elem_end, "workload must cover every tree slice's global element range");
+        let total_len: u64 = sizes.iter().sum();
 
-        let Simulator { emb, cfg, mut tracer, mut faults } = self;
-        let mut st = RunState::new(emb, cfg, kind, bindings);
+        let mut fresh = EngineArena::default();
+        let arena = arena.unwrap_or(&mut fresh);
+        let mut st = RunState::new(&prog, arena, &sizes, &offsets, cfg, kind, bindings);
 
         let traced = tracer.is_some();
         // `fast` fuses transmit and wire advancement into one pass: the flits
@@ -577,7 +648,7 @@ impl<'a> Simulator<'a> {
         let fault_report = faults.map(|f| f.finish(completed));
         let mut trace = tracer.map(|mut tr| {
             tr.sample_timeline(cycle, st.deliveries); // final sample (timeline runs only)
-            tr.finish(emb, cycle)
+            tr.finish(&prog, cycle)
         });
         if let Some(t) = trace.as_mut() {
             t.collective = kind.name().to_string();
@@ -587,11 +658,11 @@ impl<'a> Simulator<'a> {
         }
         let report = SimReport {
             cycles: cycle,
-            total_elems: emb.total_len,
+            total_elems: total_len,
             completed,
             mismatches: st.mismatches,
             value_digest: st.value_digest,
-            measured_bandwidth: emb.total_len as f64 / cycle.max(1) as f64,
+            measured_bandwidth: total_len as f64 / cycle.max(1) as f64,
             tree_completion: st.tree_completion,
             first_element_latency: st.first_element_latency,
             channel_flits: st.channel_flits,
@@ -676,7 +747,16 @@ struct BatchCtl {
     backoff: u64,
     /// Consecutive progress cycles ending at the current one.
     streak: u32,
-    snap: BatchSnap,
+    /// Built the first time a snapshot arms: short runs never arm, and
+    /// its in-flight table alone is as large as a ring arena.
+    snap: Option<BatchSnap>,
+}
+
+impl BatchCtl {
+    /// The armed (or last armed) snapshot.
+    fn snap(&self) -> &BatchSnap {
+        self.snap.as_ref().expect("a batch span compares against a captured snapshot")
+    }
 }
 
 /// Everything that must recur for two cycles to be *shape-equal* — i.e.
@@ -734,8 +814,8 @@ impl BatchSnap {
 /// ranges of the post-window send queue and receive ring must be filled
 /// with recomputed values, and the element id sitting at each ring's head
 /// after the window (`*_first`) so element → slot is a single offset.
-#[derive(Clone, Copy)]
-struct QRect {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QRect {
     stream: u32,
     vc_first: u64,
     vc_lo: u64,
@@ -763,23 +843,24 @@ fn two_rows(buf: &mut [u64], a: usize, b: usize, bw: usize) -> (&mut [u64], &[u6
     }
 }
 
-/// All mutable state of one optimized run: flat arenas, active sets, and
-/// the progress counters folded into the final [`SimReport`].
+/// All state of one optimized run: the program's wiring (borrowed), the
+/// arena's rings, active sets and counters (borrowed, reset), and the
+/// per-run slice layout, job bookkeeping and report counters.
 ///
 /// Engines are addressed by *pair* index `p = tree * n + node`; stream
 /// queues live in pre-sized ring-buffer arenas (`sendq` at the sender,
 /// a combined wire/VC ring at the receiver). The steady-state loop
 /// performs no heap allocation.
-struct RunState {
+struct RunState<'r> {
     cfg: SimConfig,
     kind: Collective,
     n: usize,
     ntrees: usize,
 
-    // Per-tree metadata (flattened from the embedding).
-    tree_root: Vec<u32>,
-    tree_len: Vec<u64>,
-    tree_off: Vec<u64>,
+    // Per-tree metadata: the program's roots and the run's slice layout.
+    tree_root: &'r [u32],
+    tree_len: &'r [u64],
+    tree_off: &'r [u64],
 
     // Multi-job bookkeeping (all-zero / inert for single-job runs).
     track_jobs: bool,
@@ -795,14 +876,14 @@ struct RunState {
     job_mismatches: Vec<u64>,
 
     // Per-pair dataflow wiring: CSR slices into the id arenas.
-    reduce_in_off: Vec<u32>,
-    bcast_out_off: Vec<u32>,
-    in_ids: Vec<u32>,
-    out_ids: Vec<u32>,
-    reduce_out: Vec<u32>,
-    bcast_in: Vec<u32>,
-    reduced: Vec<u64>,
-    delivered: Vec<u64>,
+    reduce_in_off: &'r [u32],
+    bcast_out_off: &'r [u32],
+    in_ids: &'r [u32],
+    out_ids: &'r [u32],
+    reduce_out: &'r [u32],
+    bcast_in: &'r [u32],
+    reduced: &'r mut [u64],
+    delivered: &'r mut [u64],
 
     // Stream queues: sender staging ring + combined wire/VC ring. Rings
     // are strided at the next power of two so slot arithmetic is a mask
@@ -814,57 +895,49 @@ struct RunState {
     vc_cap: u32,
     vc_mask: u32,
     vc_shift: u32,
-    sendq_val: Vec<u64>,
-    sendq_head: Vec<u32>,
-    sendq_len: Vec<u32>,
-    vc_arr: Vec<u64>,
-    vc_val: Vec<u64>,
-    vc_head: Vec<u32>,
-    vc_arrived: Vec<u32>,
-    vc_inflight: Vec<u32>,
+    sendq_val: &'r mut [u64],
+    sendq_head: &'r mut [u32],
+    sendq_len: &'r mut [u32],
+    vc_arr: &'r mut [u64],
+    vc_val: &'r mut [u64],
+    vc_head: &'r mut [u32],
+    vc_arrived: &'r mut [u32],
+    vc_inflight: &'r mut [u32],
 
-    // Stream -> owning channel (for channel activation on staging).
-    stream_chan: Vec<u32>,
-    // Stream endpoint metadata for the bulk replay: source node and the
-    // (tree·n + node) pair ids of both endpoints.
-    stream_src_node: Vec<u32>,
-    stream_src_pair: Vec<u32>,
-    stream_dst_pair: Vec<u32>,
-    // Per-tree children-first topological order (CSR): the bulk value
-    // pass combines each node after all of its children.
-    topo_off: Vec<u32>,
-    topo_nodes: Vec<u32>,
-    // Precomputed wake targets: the absolute `pair_active` word index and
-    // bit mask of each stream's endpoint engines, so a flit event re-arms
-    // an engine with a single indexed OR (no division on the hot path).
-    wake_src_word: Vec<u32>,
-    wake_src_mask: Vec<u64>,
-    wake_dst_word: Vec<u32>,
-    wake_dst_mask: Vec<u64>,
+    // Stream wiring (see `WaveProgram`).
+    stream_chan: &'r [u32],
+    stream_src_node: &'r [u32],
+    stream_src_pair: &'r [u32],
+    stream_dst_pair: &'r [u32],
+    topo_off: &'r [u32],
+    topo_nodes: &'r [u32],
+    wake_src_word: &'r [u32],
+    wake_src_mask: &'r [u64],
+    wake_dst_word: &'r [u32],
+    wake_dst_mask: &'r [u64],
     // Reduction-input readiness: per-pair count of reduce-input streams
-    // with at least one arrived flit, plus a per-stream back-pointer to
-    // the pair whose count the stream feeds (`NONE` for broadcast
-    // streams). Makes `inputs_ready` O(1) instead of a CSR gather per
+    // with at least one arrived flit, fed through each stream's
+    // `ready_slot`. Makes `inputs_ready` O(1) instead of a CSR gather per
     // engine evaluation.
-    ready_in: Vec<u32>,
-    ready_slot: Vec<u32>,
+    ready_in: &'r mut [u32],
+    ready_slot: &'r [u32],
 
     // CSR-flattened channel -> member streams map.
-    chan_off: Vec<u32>,
-    chan_members: Vec<u32>,
-    rr: Vec<u32>,
+    chan_off: &'r [u32],
+    chan_members: &'r [u32],
+    rr: &'r mut [u32],
 
     // Active sets (bitset words).
     words_per_tree: usize,
-    pair_active: Vec<u64>,
-    chan_active: Vec<u64>,
-    wire_active: Vec<u64>,
+    pair_active: &'r mut [u64],
+    chan_active: &'r mut [u64],
+    wire_active: &'r mut [u64],
 
     // Lazily refilled per-node budgets (epoch-stamped; see docs).
-    engine_budget: Vec<u32>,
-    engine_epoch: Vec<u64>,
-    inject_budget: Vec<u32>,
-    inject_epoch: Vec<u64>,
+    engine_budget: &'r mut [u32],
+    engine_epoch: &'r mut [u64],
+    inject_budget: &'r mut [u32],
+    inject_epoch: &'r mut [u64],
 
     // Progress bookkeeping.
     per_tree_sinks: u64,
@@ -893,116 +966,40 @@ struct RunState {
     bat: BatchCtl,
     // Scratch for the bulk value pass: one row of `BATCH_BLOCK` element
     // values per node.
-    rblock: Vec<u64>,
+    rblock: &'r mut [u64],
     // Scratch: per-node queue-rewrite rectangles for the tree being bulked
     // (reduce-out stream / broadcast-in stream of each node).
-    rect_r: Vec<QRect>,
-    rect_b: Vec<QRect>,
+    rect_r: &'r mut [QRect],
+    rect_b: &'r mut [QRect],
 }
 
-impl RunState {
+impl<'r> RunState<'r> {
+    /// Resets `arena` for a run of `prog` with tree slices `tree_len` at
+    /// `tree_off`, and derives the per-run bookkeeping.
+    #[allow(clippy::too_many_arguments)]
     fn new(
-        emb: &MultiTreeEmbedding,
+        prog: &'r WaveProgram,
+        arena: &'r mut EngineArena,
+        tree_len: &'r [u64],
+        tree_off: &'r [u64],
         cfg: SimConfig,
         kind: Collective,
         bindings: Option<&[JobBinding]>,
     ) -> Self {
-        let n = emb.num_nodes as usize;
-        let ntrees = emb.trees.len();
+        let n = prog.n;
+        let ntrees = prog.ntrees;
         let pairs = ntrees * n;
-        let nstreams = emb.streams.len();
-        let nchans = emb.channel_streams.len();
+        let nstreams = prog.streams.len();
+        let nchans = prog.num_channels();
 
-        let tree_len: Vec<u64> = emb.trees.iter().map(|t| t.len).collect();
-
-        // Wire the per-pair dataflow (two passes: counts, then fill).
-        let mut in_cnt = vec![0u32; pairs];
-        let mut out_cnt = vec![0u32; pairs];
-        let mut reduce_out = vec![NONE; pairs];
-        let mut bcast_in = vec![NONE; pairs];
-        let mut src_pair = vec![0u32; nstreams];
-        let mut dst_pair = vec![0u32; nstreams];
-        for (si, s) in emb.streams.iter().enumerate() {
-            let sp = s.tree as usize * n + s.src as usize;
-            let dp = s.tree as usize * n + s.dst as usize;
-            src_pair[si] = sp as u32;
-            dst_pair[si] = dp as u32;
-            match s.phase {
-                Phase::Reduce => {
-                    in_cnt[dp] += 1;
-                    reduce_out[sp] = si as u32;
-                }
-                Phase::Broadcast => {
-                    out_cnt[sp] += 1;
-                    bcast_in[dp] = si as u32;
-                }
-            }
-        }
-        let mut reduce_in_off = vec![0u32; pairs + 1];
-        let mut bcast_out_off = vec![0u32; pairs + 1];
-        for p in 0..pairs {
-            reduce_in_off[p + 1] = reduce_in_off[p] + in_cnt[p];
-            bcast_out_off[p + 1] = bcast_out_off[p] + out_cnt[p];
-        }
-        let mut in_ids = vec![0u32; reduce_in_off[pairs] as usize];
-        let mut out_ids = vec![0u32; bcast_out_off[pairs] as usize];
-        let mut in_fill = reduce_in_off.clone();
-        let mut out_fill = bcast_out_off.clone();
-        for (si, s) in emb.streams.iter().enumerate() {
-            match s.phase {
-                Phase::Reduce => {
-                    let dp = dst_pair[si] as usize;
-                    in_ids[in_fill[dp] as usize] = si as u32;
-                    in_fill[dp] += 1;
-                }
-                Phase::Broadcast => {
-                    let sp = src_pair[si] as usize;
-                    out_ids[out_fill[sp] as usize] = si as u32;
-                    out_fill[sp] += 1;
-                }
-            }
-        }
-
-        // CSR-flatten the channel -> streams map.
-        let mut chan_off = vec![0u32; nchans + 1];
-        for (c, members) in emb.channel_streams.iter().enumerate() {
-            chan_off[c + 1] = chan_off[c] + members.len() as u32;
-        }
-        let mut chan_members = vec![0u32; chan_off[nchans] as usize];
-        let mut stream_chan = vec![NONE; nstreams];
-        for (c, members) in emb.channel_streams.iter().enumerate() {
-            let base = chan_off[c] as usize;
-            chan_members[base..base + members.len()].copy_from_slice(members);
-            for &s in members {
-                stream_chan[s as usize] = c as u32;
-            }
-        }
-
-        let per_tree_sinks = kind.sinks_per_tree(emb.num_nodes as u64);
+        let per_tree_sinks = kind.sinks_per_tree(n as u64);
         let total_deliveries: u64 = tree_len.iter().map(|&l| l * per_tree_sinks).sum();
         let sink_pairs: u64 =
             tree_len.iter().map(|&l| if l > 0 { per_tree_sinks } else { 0 }).sum();
 
-        let words_per_tree = n.div_ceil(64);
+        let words_per_tree = prog.words_per_tree;
         let sq_shift = (cfg.source_queue as u32).next_power_of_two().trailing_zeros();
         let vc_shift = (cfg.vc_buffer as u32).next_power_of_two().trailing_zeros();
-
-        // Precompute each stream's wake word/mask and ready-count slot.
-        let mut wake_src_word = vec![0u32; nstreams];
-        let mut wake_src_mask = vec![0u64; nstreams];
-        let mut wake_dst_word = vec![0u32; nstreams];
-        let mut wake_dst_mask = vec![0u64; nstreams];
-        let mut ready_slot = vec![NONE; nstreams];
-        for (si, s) in emb.streams.iter().enumerate() {
-            let base = s.tree as usize * words_per_tree;
-            wake_src_word[si] = (base + s.src as usize / 64) as u32;
-            wake_src_mask[si] = 1u64 << (s.src as usize % 64);
-            wake_dst_word[si] = (base + s.dst as usize / 64) as u32;
-            wake_dst_mask[si] = 1u64 << (s.dst as usize % 64);
-            if matches!(s.phase, Phase::Reduce) {
-                ready_slot[si] = dst_pair[si];
-            }
-        }
 
         // Per-job wiring: which job each tree belongs to, when it is
         // released, and how many deliveries complete each job.
@@ -1022,28 +1019,34 @@ impl RunState {
             }
         }
 
-        // Per-tree children-first topological order for the bulk value
-        // pass (a preorder DFS from the root, reversed). Only live trees
-        // get an order; an empty tree's slice stays empty.
-        let mut topo_off = vec![0u32; ntrees + 1];
-        let mut topo_nodes: Vec<u32> = Vec::new();
-        let mut stack: Vec<u32> = Vec::new();
-        for (ti, t) in emb.trees.iter().enumerate() {
-            if tree_len[ti] > 0 {
-                let before = topo_nodes.len();
-                stack.push(t.root);
-                while let Some(v) = stack.pop() {
-                    topo_nodes.push(v);
-                    stack.extend_from_slice(&t.children[v as usize]);
-                }
-                topo_nodes[before..].reverse();
-            }
-            topo_off[ti + 1] = topo_nodes.len() as u32;
-        }
+        let EngineArena {
+            sendq_val,
+            sendq_head,
+            sendq_len,
+            vc_arr,
+            vc_val,
+            vc_head,
+            vc_arrived,
+            vc_inflight,
+            reduced,
+            delivered,
+            ready_in,
+            rr,
+            pair_active,
+            chan_active,
+            wire_active,
+            engine_budget,
+            engine_epoch,
+            inject_budget,
+            inject_epoch,
+            rblock,
+            rect_r,
+            rect_b,
+        } = arena;
 
         // Every engine of a non-empty tree starts active: leaves can fire
         // on cycle 1, everything else stalls once and deactivates.
-        let mut pair_active = vec![0u64; ntrees * words_per_tree];
+        let pair_active = zeroed(pair_active, ntrees * words_per_tree);
         for (ti, &len_eff) in tree_len.iter().enumerate() {
             if len_eff == 0 {
                 continue;
@@ -1061,9 +1064,9 @@ impl RunState {
             kind,
             n,
             ntrees,
-            tree_root: emb.trees.iter().map(|t| t.root).collect(),
+            tree_root: &prog.tree_root,
             tree_len,
-            tree_off: emb.trees.iter().map(|t| t.offset).collect(),
+            tree_off,
             track_jobs: bindings.is_some(),
             njobs,
             tree_release,
@@ -1075,51 +1078,51 @@ impl RunState {
             job_elems,
             job_hash: vec![0; njobs],
             job_mismatches: vec![0; njobs],
-            reduce_in_off,
-            bcast_out_off,
-            in_ids,
-            out_ids,
-            reduce_out,
-            bcast_in,
-            reduced: vec![0; pairs],
-            delivered: vec![0; pairs],
+            reduce_in_off: &prog.reduce_in_off,
+            bcast_out_off: &prog.bcast_out_off,
+            in_ids: &prog.in_ids,
+            out_ids: &prog.out_ids,
+            reduce_out: &prog.reduce_out,
+            bcast_in: &prog.bcast_in,
+            reduced: zeroed(reduced, pairs),
+            delivered: zeroed(delivered, pairs),
             sq_cap: cfg.source_queue as u32,
             sq_mask: (1u32 << sq_shift) - 1,
             sq_shift,
             vc_cap: cfg.vc_buffer as u32,
             vc_mask: (1u32 << vc_shift) - 1,
             vc_shift,
-            sendq_val: vec![0; nstreams << sq_shift],
-            sendq_head: vec![0; nstreams],
-            sendq_len: vec![0; nstreams],
-            vc_arr: vec![0; nstreams << vc_shift],
-            vc_val: vec![0; nstreams << vc_shift],
-            vc_head: vec![0; nstreams],
-            vc_arrived: vec![0; nstreams],
-            vc_inflight: vec![0; nstreams],
-            stream_chan,
-            stream_src_node: emb.streams.iter().map(|s| s.src).collect(),
-            stream_src_pair: src_pair,
-            stream_dst_pair: dst_pair,
-            topo_off,
-            topo_nodes,
-            wake_src_word,
-            wake_src_mask,
-            wake_dst_word,
-            wake_dst_mask,
-            ready_in: vec![0; pairs],
-            ready_slot,
-            chan_off,
-            chan_members,
-            rr: vec![0; nchans],
+            sendq_val: ring(sendq_val, nstreams << sq_shift),
+            sendq_head: zeroed(sendq_head, nstreams),
+            sendq_len: zeroed(sendq_len, nstreams),
+            vc_arr: ring(vc_arr, nstreams << vc_shift),
+            vc_val: ring(vc_val, nstreams << vc_shift),
+            vc_head: zeroed(vc_head, nstreams),
+            vc_arrived: zeroed(vc_arrived, nstreams),
+            vc_inflight: zeroed(vc_inflight, nstreams),
+            stream_chan: &prog.stream_chan,
+            stream_src_node: &prog.stream_src_node,
+            stream_src_pair: &prog.stream_src_pair,
+            stream_dst_pair: &prog.stream_dst_pair,
+            topo_off: &prog.topo_off,
+            topo_nodes: &prog.topo_nodes,
+            wake_src_word: &prog.wake_src_word,
+            wake_src_mask: &prog.wake_src_mask,
+            wake_dst_word: &prog.wake_dst_word,
+            wake_dst_mask: &prog.wake_dst_mask,
+            ready_in: zeroed(ready_in, pairs),
+            ready_slot: &prog.ready_slot,
+            chan_off: &prog.chan_off,
+            chan_members: &prog.chan_members,
+            rr: zeroed(rr, nchans),
             words_per_tree,
             pair_active,
-            chan_active: vec![0u64; nchans.div_ceil(64)],
-            wire_active: vec![0u64; nstreams.div_ceil(64)],
-            engine_budget: vec![0; n],
-            engine_epoch: vec![0; n],
-            inject_budget: vec![0; n],
-            inject_epoch: vec![0; n],
+            chan_active: zeroed(chan_active, nchans.div_ceil(64)),
+            wire_active: zeroed(wire_active, nstreams.div_ceil(64)),
+            engine_budget: zeroed(engine_budget, n),
+            engine_epoch: zeroed(engine_epoch, n),
+            inject_budget: zeroed(inject_budget, n),
+            inject_epoch: zeroed(inject_epoch, n),
             per_tree_sinks,
             total_deliveries,
             sink_pairs,
@@ -1141,19 +1144,11 @@ impl RunState {
                 next_try: 0,
                 backoff: BATCH_BACKOFF0,
                 streak: 0,
-                snap: BatchSnap::new(
-                    pairs,
-                    nstreams,
-                    nchans,
-                    ntrees,
-                    njobs,
-                    vc_shift,
-                    words_per_tree,
-                ),
+                snap: None,
             },
-            rblock: vec![0; n * BATCH_BLOCK],
-            rect_r: vec![QRECT_NONE; n],
-            rect_b: vec![QRECT_NONE; n],
+            rblock: scratch(rblock, n * BATCH_BLOCK, 0),
+            rect_r: scratch(rect_r, n, QRECT_NONE),
+            rect_b: scratch(rect_b, n, QRECT_NONE),
         }
     }
 
@@ -1821,17 +1816,22 @@ impl RunState {
     /// Copies everything shape-relevant (and the progress counters whose
     /// deltas become rates) into the armed snapshot.
     fn capture_shape(&mut self, cycle: u64) {
-        let snap = &mut self.bat.snap;
-        snap.sendq_len.copy_from_slice(&self.sendq_len);
-        snap.vc_arrived.copy_from_slice(&self.vc_arrived);
-        snap.vc_inflight.copy_from_slice(&self.vc_inflight);
-        snap.rr.copy_from_slice(&self.rr);
-        snap.pair_active.copy_from_slice(&self.pair_active);
-        snap.chan_active.copy_from_slice(&self.chan_active);
-        snap.wire_active.copy_from_slice(&self.wire_active);
+        let (pairs, nstreams, nchans) = (self.reduced.len(), self.sendq_len.len(), self.rr.len());
+        let (ntrees, njobs) = (self.ntrees, self.njobs);
+        let (vc_shift, words_per_tree) = (self.vc_shift, self.words_per_tree);
+        let snap = self.bat.snap.get_or_insert_with(|| {
+            BatchSnap::new(pairs, nstreams, nchans, ntrees, njobs, vc_shift, words_per_tree)
+        });
+        snap.sendq_len.copy_from_slice(self.sendq_len);
+        snap.vc_arrived.copy_from_slice(self.vc_arrived);
+        snap.vc_inflight.copy_from_slice(self.vc_inflight);
+        snap.rr.copy_from_slice(self.rr);
+        snap.pair_active.copy_from_slice(self.pair_active);
+        snap.chan_active.copy_from_slice(self.chan_active);
+        snap.wire_active.copy_from_slice(self.wire_active);
         snap.pending_arrivals = self.pending_arrivals;
-        snap.reduced.copy_from_slice(&self.reduced);
-        snap.delivered.copy_from_slice(&self.delivered);
+        snap.reduced.copy_from_slice(self.reduced);
+        snap.delivered.copy_from_slice(self.delivered);
         snap.deliveries = self.deliveries;
         snap.tree_deliveries.copy_from_slice(&self.tree_deliveries);
         snap.job_deliveries.copy_from_slice(&self.job_deliveries);
@@ -1856,7 +1856,7 @@ impl RunState {
     /// comparisons first; the in-flight offset walk runs only when every
     /// aggregate vector already matches.
     fn shape_matches(&self, cycle: u64) -> bool {
-        let snap = &self.bat.snap;
+        let snap = self.bat.snap();
         if self.pending_arrivals != snap.pending_arrivals
             || self.wire_active != snap.wire_active
             || self.chan_active != snap.chan_active
@@ -1899,7 +1899,7 @@ impl RunState {
         faults: &mut Option<FaultState>,
     ) -> Option<u64> {
         debug_assert!(period >= 1);
-        if self.deliveries == self.bat.snap.deliveries {
+        if self.deliveries == self.bat.snap().deliveries {
             // A period that delivers nothing can recur forever (pure
             // in-flight rotation); fast-forwarding it would never
             // terminate the run. Leave it to the ordinary stepper.
@@ -1926,11 +1926,11 @@ impl RunState {
             }
             for v in 0..self.n {
                 let p = ti * self.n + v;
-                let fr = self.reduced[p] - self.bat.snap.reduced[p];
+                let fr = self.reduced[p] - self.bat.snap().reduced[p];
                 if let Some(head) = (len - 1).saturating_sub(self.reduced[p]).checked_div(fr) {
                     j = j.min(head);
                 }
-                let dl = self.delivered[p] - self.bat.snap.delivered[p];
+                let dl = self.delivered[p] - self.bat.snap().delivered[p];
                 if let Some(head) = (len - 1).saturating_sub(self.delivered[p]).checked_div(dl) {
                     j = j.min(head);
                 }
@@ -1952,7 +1952,7 @@ impl RunState {
     /// the surviving in-flight entries relative to the window end, and
     /// replays the per-transmit fault-detector reset.
     fn bulk_streams(&mut self, j: u64, c_end: u64, faults: &mut Option<FaultState>) {
-        let snap = &self.bat.snap;
+        let snap = self.bat.snap();
         for s in 0..self.stream_chan.len() {
             // Per-period transmit rate: for a reduce stream every fire of
             // the destination pair pops exactly one flit from it, and for
@@ -2023,7 +2023,7 @@ impl RunState {
         let mut lo = u64::MAX;
         let mut hi = 0u64;
         {
-            let snap = &self.bat.snap;
+            let snap = self.bat.snap();
             for v in 0..n {
                 let p = ti * n + v;
                 let fr = self.reduced[p] - snap.reduced[p];
@@ -2058,9 +2058,9 @@ impl RunState {
                 if s != NONE {
                     let s = s as usize;
                     let dp = self.stream_dst_pair[s] as usize;
-                    let r = self.reduced[dp] - self.bat.snap.reduced[dp];
+                    let r = self.reduced[dp] - self.bat.snap().reduced[dp];
                     if r > 0 {
-                        debug_assert_eq!(r, self.reduced[p] - self.bat.snap.reduced[p]);
+                        debug_assert_eq!(r, self.reduced[p] - self.bat.snap().reduced[p]);
                         let jr = j * r;
                         let sp_end = self.reduced[p] + jr;
                         let dp_end = self.reduced[dp] + jr;
@@ -2084,9 +2084,9 @@ impl RunState {
                 if s != NONE {
                     let s = s as usize;
                     let sp = self.stream_src_pair[s] as usize;
-                    let r = self.delivered[p] - self.bat.snap.delivered[p];
+                    let r = self.delivered[p] - self.bat.snap().delivered[p];
                     if r > 0 {
-                        debug_assert_eq!(r, self.delivered[sp] - self.bat.snap.delivered[sp]);
+                        debug_assert_eq!(r, self.delivered[sp] - self.bat.snap().delivered[sp]);
                         let jr = j * r;
                         let sp_end = self.delivered[sp] + jr;
                         let dp_end = self.delivered[p] + jr;
@@ -2115,7 +2115,7 @@ impl RunState {
         let track = self.track_jobs;
         let job = self.tree_job[ti] as usize;
         let root_fire_lo = self.reduced[rp];
-        let root_fire_hi = root_fire_lo + j * (root_fire_lo - self.bat.snap.reduced[rp]);
+        let root_fire_hi = root_fire_lo + j * (root_fire_lo - self.bat.snap().reduced[rp]);
 
         let mut blk = lo;
         while blk < hi {
@@ -2140,7 +2140,7 @@ impl RunState {
                     for i in in_lo..in_hi {
                         let s = self.in_ids[i] as usize;
                         let c = self.stream_src_node[s] as usize;
-                        let (acc, xs) = two_rows(&mut self.rblock, v, c, bw);
+                        let (acc, xs) = two_rows(self.rblock, v, c, bw);
                         w.combine_run(offset + blk, acc, xs);
                     }
                 }
@@ -2198,7 +2198,7 @@ impl RunState {
                 }
                 for v in 0..n {
                     let p = ti * n + v;
-                    let dl = self.delivered[p] - self.bat.snap.delivered[p];
+                    let dl = self.delivered[p] - self.bat.snap().delivered[p];
                     // The allreduce root's deliveries were already replayed
                     // in pass A (it delivers at the fire, not as a relay).
                     if dl > 0 && (v != root || kind.root_sources_broadcast()) {
@@ -2268,7 +2268,7 @@ impl RunState {
     /// Bulk-advances every progress counter by `j` times its per-period
     /// delta. Runs last: the element passes need the pre-window values.
     fn bulk_counters(&mut self, j: u64, c_end: u64) {
-        let snap = &self.bat.snap;
+        let snap = self.bat.snap();
         for p in 0..self.reduced.len() {
             self.reduced[p] += j * (self.reduced[p] - snap.reduced[p]);
             self.delivered[p] += j * (self.delivered[p] - snap.delivered[p]);

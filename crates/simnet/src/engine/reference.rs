@@ -48,7 +48,8 @@ pub(super) fn run(
     w: &Workload,
     kind: Collective,
 ) -> (SimReport, Option<TraceReport>, Option<FaultReport>) {
-    let Simulator { emb, cfg, tracer, faults } = sim;
+    let Simulator { prog, emb, cfg, tracer, faults, .. } = sim;
+    let emb = emb.expect("the reference stepper runs simulators built from an embedding");
     assert_eq!(w.nodes(), emb.num_nodes);
     assert!(
         w.len() >= emb.elem_end(),
@@ -435,7 +436,7 @@ pub(super) fn run(
     let fault_report = faults.map(|f| f.finish(completed));
     let mut trace = tracer.map(|mut tr| {
         tr.sample_timeline(cycle, deliveries); // final sample (timeline runs only)
-        tr.finish(emb, cycle)
+        tr.finish(&prog, cycle)
     });
     if let Some(t) = trace.as_mut() {
         t.collective = kind.name().to_string();

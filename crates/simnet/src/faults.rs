@@ -26,7 +26,7 @@
 //! as the fault-free build (property-tested, like tracing).
 
 use crate::embedding::MultiTreeEmbedding;
-use crate::engine::{SimConfig, SimReport, Simulator};
+use crate::engine::{SimConfig, SimReport, Simulator, WaveProgram};
 use crate::trace::FaultTraceRow;
 use crate::workload::Workload;
 use pf_allreduce::recovery::{rebuild_degraded, DegradedPlan, FaultSet, RebuildError};
@@ -249,7 +249,7 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub(crate) fn new(g: &Graph, emb: &MultiTreeEmbedding, schedule: &FaultSchedule) -> Self {
+    pub(crate) fn new(g: &Graph, prog: &WaveProgram, schedule: &FaultSchedule) -> Self {
         assert!(schedule.detection.timeout >= 1, "detection timeout must be at least 1 cycle");
         assert!(schedule.detection.max_retries >= 1, "at least one retry is required");
         for ev in &schedule.events {
@@ -279,12 +279,7 @@ impl FaultState {
                 router_channels[v as usize].push(c);
             }
         }
-        let mut stream_channel = vec![u32::MAX; emb.streams.len()];
-        for (c, members) in emb.channel_streams.iter().enumerate() {
-            for &s in members {
-                stream_channel[s as usize] = c as u32;
-            }
-        }
+        let nstreams = prog.stream_chan.len();
 
         FaultState {
             detection: schedule.detection,
@@ -293,15 +288,15 @@ impl FaultState {
             heals: Vec::new(),
             channel_ends,
             router_channels,
-            stream_channel,
+            stream_channel: prog.stream_chan.clone(),
             down: vec![0; num_channels],
             degrade: vec![0; num_channels],
             router_down: vec![false; g.num_vertices() as usize],
             link_down: vec![0; g.num_edges() as usize],
             active_faults: 0,
-            stalled: vec![0; emb.streams.len()],
-            retries: vec![0; emb.streams.len()],
-            stream_dead: vec![false; emb.streams.len()],
+            stalled: vec![0; nstreams],
+            retries: vec![0; nstreams],
+            stream_dead: vec![false; nstreams],
             detected_edge: vec![false; g.num_edges() as usize],
             detected_router: vec![false; g.num_vertices() as usize],
             total_retries: 0,

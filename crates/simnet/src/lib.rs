@@ -55,8 +55,8 @@ pub mod workload;
 
 pub use embedding::MultiTreeEmbedding;
 pub use engine::{
-    delivery_digest_entry, Collective, FaultedRun, JobBinding, JobOutcome, JobsRun, SimConfig,
-    SimReport, Simulator,
+    delivery_digest_entry, Collective, EngineArena, FaultedRun, JobBinding, JobOutcome, JobsRun,
+    SimConfig, SimReport, Simulator, WaveProgram,
 };
 pub use faults::{
     run_collective_with_recovery, run_with_recovery, DetectionConfig, FaultEvent, FaultKind,
